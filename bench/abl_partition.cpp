@@ -71,10 +71,25 @@ int main(int argc, char** argv) {
   cluster.set_obs(args.obs.get());
   workloads::Bank bank;
   std::unique_ptr<shard::ClientFleet> fleet;
+  // Sharded, the orphan below holds two accounts past the workload's range,
+  // on different groups.  Its prepare parks in-doubt and blocks its keys
+  // until termination, which runs only at the heal: a transfer touching
+  // them would retry until then, and the run could never end.
+  store::ObjectKey orphan_a, orphan_b;
   if (sharded) {
     fleet = std::make_unique<shard::ClientFleet>(
         bank, static_cast<std::uint32_t>(args.cluster.n_groups));
     fleet->seed(cluster, bank);
+    const shard::ShardMap& map = fleet->map();
+    const auto first = static_cast<store::Field>(bank.config().n_accounts);
+    orphan_a = workloads::Bank::account_key(first);
+    for (store::Field id = first + 1;; ++id) {
+      orphan_b = workloads::Bank::account_key(id);
+      if (map.shard_of(orphan_b) != map.shard_of(orphan_a)) break;
+    }
+    for (const store::ObjectKey& key : {orphan_a, orphan_b})
+      shard::seed_sharded(cluster, map, key, store::Record{0});
+    cluster.flush_seeds();
   } else {
     bank.seed(cluster.servers());
   }
@@ -90,25 +105,19 @@ int main(int argc, char** argv) {
   std::unique_ptr<shard::CrossShardCoordinator> orphan_owner;
   std::optional<shard::ShardTx> orphan_tx;
   if (sharded) {
-    const shard::ShardMap& map = fleet->map();
-    const store::ObjectKey a = workloads::Bank::account_key(40);
-    store::ObjectKey b = a;
-    for (store::Field id = 41;; ++id) {
-      b = workloads::Bank::account_key(id);
-      if (map.shard_of(b) != map.shard_of(a)) break;
-    }
     orphan_owner = std::make_unique<shard::CrossShardCoordinator>(
         cluster, fleet->router(), /*client_ordinal=*/500'000);
     acn::KeyFootprint footprint;
-    footprint.push_back({std::min(a, b), true});
-    footprint.push_back({std::max(a, b), true});
+    footprint.push_back({std::min(orphan_a, orphan_b), true});
+    footprint.push_back({std::max(orphan_a, orphan_b), true});
     orphan_tx.emplace(orphan_owner->begin(footprint));
-    orphan_tx->write(a, store::Record{0});
-    orphan_tx->write(b, store::Record{0});
+    orphan_tx->write(orphan_a, store::Record{0});
+    orphan_tx->write(orphan_b, store::Record{0});
     if (orphan_tx->prepare_all() < 2)
       throw std::runtime_error("orphan prepared fewer than 2 groups");
     std::printf("[setup] orphaned cross-shard prepare holds %s and %s\n",
-                store::to_string(a).c_str(), store::to_string(b).c_str());
+                store::to_string(orphan_a).c_str(),
+                store::to_string(orphan_b).c_str());
   } else {
     auto doomed = cluster.make_stub(/*client_ordinal=*/500'000);
     const dtm::TxId orphan = 0xD00DULL << 32;

@@ -64,10 +64,7 @@ std::vector<AuditViolation> audit_program(const ir::TxProgram& program,
     observer.reset();
     const std::vector<ir::VarId> declared_reads = op.reads();
     const std::vector<ir::VarId> declared_writes = op.writes();
-    if (op.is_remote())
-      env.run_remote(op.remote);
-    else
-      op.local.fn(env);
+    env.execute(op);
 
     for (const ir::VarId v : observer.reads()) {
       const bool is_param = v < program.n_params;

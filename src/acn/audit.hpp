@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/acn/txir.hpp"
+#include "src/dtm/quorum_stub.hpp"
 
 namespace acn {
 

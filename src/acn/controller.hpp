@@ -4,8 +4,8 @@
 //
 // Readers (client threads about to execute a transaction) grab the current
 // plan as an immutable shared_ptr; adapt() swaps atomically, so in-flight
-// transactions finish under the plan they started with and the next attempt
-// picks up the new composition.
+// transactions finish under the plan they started with, full restarts
+// included, and the next transaction picks up the new composition.
 #pragma once
 
 #include <memory>

@@ -10,8 +10,9 @@
 //                             executes as a closed-nested transaction,
 //                             partial aborts retry the Block only.
 //   * Protocol::kAcn        — QR-ACN: like kManualCN, but the sequence comes
-//                             from the AdaptiveController at every attempt,
-//                             so the transaction always runs the most recent
+//                             from the AdaptiveController: run() takes the
+//                             published plan once and keeps it across full
+//                             restarts; the next run() picks up a newer
 //                             composition.
 //   * Protocol::kCheckpoint — QR-CKPT: checkpoint-based partial rollback
 //                             (the Section III alternative to nesting).
@@ -30,14 +31,23 @@
 // the Block's read/write-set entries), restores the snapshot and re-executes
 // just that Block.  An abort touching merged history escalates to a full
 // restart with randomized exponential backoff.
+//
+// Every protocol runs in one attempt loop over a nesting::TxContext: begin
+// a context, run the protocol's body in it, count the commit, or report the
+// full abort and back off.  An Executor built over a QuorumStub runs each
+// attempt in a nesting::Transaction on that quorum group; one built over a
+// ContextSource (shard::CrossShardCoordinator) runs it in whatever context
+// the source opens — a ShardTx spanning groups, committed by 2PC.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 
 #include "src/acn/controller.hpp"
 #include "src/acn/footprint.hpp"
 #include "src/acn/txir.hpp"
+#include "src/nesting/transaction.hpp"
 
 namespace acn {
 
@@ -169,16 +179,34 @@ inline RunOptions with_blocks(const ir::TxProgram& program,
   return options;
 }
 
-/// kAcn inputs: the sequence comes from the controller at every attempt.
+/// kAcn inputs: the sequence is the controller's plan when run() starts.
 inline RunOptions with_controller(AdaptiveController& controller) {
   RunOptions options;
   options.controller = &controller;
   return options;
 }
 
+/// Where an Executor's attempts get their transactional context, when it
+/// is not a nesting::Transaction on one quorum group.
+class ContextSource {
+ public:
+  virtual ~ContextSource() = default;
+
+  /// A fresh context for one attempt; `predicted` is the transaction's
+  /// predicted footprint (it picks the route plan a cross-shard context
+  /// starts from).
+  virtual std::unique_ptr<nesting::TxContext> open(
+      const KeyFootprint& predicted) = 0;
+};
+
 class Executor {
  public:
+  /// Attempts run in nesting::Transactions over `stub`, armed with the
+  /// config's history log, obs bundle and contention piggyback.
   Executor(dtm::QuorumStub& stub, ExecutorConfig config, std::uint64_t seed);
+  /// Attempts run in the contexts `source` opens (which must outlive the
+  /// executor).
+  Executor(ContextSource& source, ExecutorConfig config, std::uint64_t seed);
 
   /// Unified entry point: execute one transaction to commit under
   /// `protocol`.  Throws std::invalid_argument when `options` lacks the
@@ -189,34 +217,36 @@ class Executor {
 
  private:
   using SpecBuffer = std::vector<std::pair<ir::ObjectKey, dtm::VersionedRecord>>;
+  struct BlockPlan;
 
-  void run_flat_impl(const ir::TxProgram& program,
-                     const std::vector<ir::Record>& params, ExecStats& stats);
-  void run_blocks_impl(const ir::TxProgram& program,
-                       const DependencyModel& model,
-                       const BlockSequence& sequence, const RunOptions& options,
-                       const std::vector<ir::Record>& params, ExecStats& stats);
-  void run_checkpointed_impl(const ir::TxProgram& program,
-                             const std::vector<ir::Record>& params,
-                             ExecStats& stats);
+  /// A fresh context for one attempt: from source_, or a Transaction over
+  /// stub_ armed with the config's history, obs and piggyback.
+  std::unique_ptr<nesting::TxContext> begin_attempt(
+      const KeyFootprint& predicted);
+
+  // The protocol bodies: run one attempt in `ctx` through its commit.
+  void run_flat(const ir::TxProgram& program, nesting::TxContext& ctx,
+                ir::TxEnv& env, ExecStats& stats);
+  void run_blocks(const ir::TxProgram& program, const BlockPlan& plan,
+                  nesting::TxContext& ctx, ir::TxEnv& env, ExecStats& stats);
+  void run_checkpointed(const ir::TxProgram& program, nesting::TxContext& ctx,
+                        ir::TxEnv& env, ExecStats& stats);
 
   /// The batched fetch stage at Block entry: adopt what the previous Block
   /// prefetched into the fresh frame, then fetch `group` (this Block's
   /// independent reads) plus `speculative` (the next Block's) in one
   /// read_many round, leaving the speculative records in `spec_buffer`.
-  void batched_fetch(const ir::TxProgram& program, ir::TxEnv& env,
-                     const std::vector<std::size_t>& group,
+  void batched_fetch(const ir::TxProgram& program, nesting::TxContext& ctx,
+                     ir::TxEnv& env, const std::vector<std::size_t>& group,
                      const std::vector<std::size_t>& speculative,
                      SpecBuffer& spec_buffer);
 
-  void execute_op(const ir::TxProgram& program, std::size_t op_index,
-                  ir::TxEnv& env, ExecStats& stats);
-  void arm_env(ir::TxEnv& env);  // history log + contention piggyback
   void backoff(int attempt);
   /// Report one full abort to obs and to the scheduler gate, if armed.
   void note_full_abort(const dtm::TxAbort& abort, std::uint64_t tx);
 
-  dtm::QuorumStub& stub_;
+  dtm::QuorumStub* stub_ = nullptr;
+  ContextSource* source_ = nullptr;
   ExecutorConfig config_;
   Rng rng_;
   /// The active run's scheduler gate (null between runs / when unused).

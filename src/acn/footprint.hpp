@@ -69,8 +69,9 @@ enum class TxOutcome {
 };
 
 /// The TxOutcome a TxAbort reports to the gate.  Shared by every execution
-/// path that feeds the scheduler (the single-shard Executor and the
-/// cross-shard Client), so 2PC aborts classify identically to local ones.
+/// path that feeds the scheduler (an Executor over one group's stub or over
+/// a cross-shard coordinator), so 2PC aborts classify identically to local
+/// ones.
 TxOutcome outcome_of(const dtm::TxAbort& abort) noexcept;
 
 /// What one Executor::run call tells the scheduler.  Implementations must

@@ -20,31 +20,24 @@ std::size_t TxProgram::remote_op_count() const {
   return n;
 }
 
-TxEnv::TxEnv(nesting::Transaction& txn, const TxProgram& program,
+TxEnv::TxEnv(nesting::TxAccess& access, const TxProgram& program,
              std::vector<Record> params)
-    : txn_(&txn), vars_(program.n_vars), keys_(program.n_vars) {
-  if (params.size() != program.n_params)
-    throw std::invalid_argument("TxEnv: wrong number of params for " +
-                                program.name);
-  for (std::size_t i = 0; i < params.size(); ++i) vars_[i] = std::move(params[i]);
+    : TxEnv(program, std::move(params)) {
+  access_ = &access;
 }
 
 TxEnv::TxEnv(const TxProgram& program, std::vector<Record> params)
-    : txn_(nullptr), vars_(program.n_vars), keys_(program.n_vars) {
+    : vars_(program.n_vars), keys_(program.n_vars) {
   if (params.size() != program.n_params)
     throw std::invalid_argument("TxEnv: wrong number of params for " +
                                 program.name);
   for (std::size_t i = 0; i < params.size(); ++i) vars_[i] = std::move(params[i]);
 }
 
-TxEnv::TxEnv(TxBackend& backend, const TxProgram& program,
-             std::vector<Record> params)
-    : txn_(nullptr), backend_(&backend), vars_(program.n_vars),
-      keys_(program.n_vars) {
-  if (params.size() != program.n_params)
-    throw std::invalid_argument("TxEnv: wrong number of params for " +
-                                program.name);
-  for (std::size_t i = 0; i < params.size(); ++i) vars_[i] = std::move(params[i]);
+nesting::TxAccess& TxEnv::access() const {
+  if (access_ == nullptr)
+    throw std::logic_error("TxEnv: transactional access on an evaluation-only env");
+  return *access_;
 }
 
 const Record& TxEnv::get(VarId v) const {
@@ -73,26 +66,8 @@ bool TxEnv::is_set(VarId v) const noexcept {
 
 void TxEnv::run_remote(const RemoteAccessOp& op) {
   const ObjectKey key = op.key_fn(*this);
-  if (backend_ != nullptr) {
-    vars_.at(op.out) = backend_->read(key);
-    keys_.at(op.out) = key;
-    return;
-  }
-  if (piggyback_sink_) {
-    std::vector<std::uint64_t> levels;
-    const Record& value = txn().read(key, piggyback_classes_, levels);
-    if (!levels.empty()) piggyback_sink_(piggyback_classes_, levels);
-    vars_.at(op.out) = value;
-  } else {
-    vars_.at(op.out) = txn().read(key);
-  }
+  vars_.at(op.out) = access().read(key);
   keys_.at(op.out) = key;
-}
-
-void TxEnv::set_contention_piggyback(std::vector<ClassId> classes,
-                                     ContentionSink sink) {
-  piggyback_classes_ = std::move(classes);
-  piggyback_sink_ = std::move(sink);
 }
 
 void TxEnv::write_object(VarId objvar, Record value) {
@@ -104,18 +79,12 @@ void TxEnv::write_object(VarId objvar, Record value) {
   if (!key)
     throw std::logic_error("TxEnv::write_object: var " + std::to_string(objvar) +
                            " is not bound to an object");
-  if (backend_ != nullptr)
-    backend_->write(*key, value);
-  else
-    txn().write(*key, value);
+  access().write(*key, value);
   vars_.at(objvar) = std::move(value);
 }
 
 void TxEnv::insert_object(const ObjectKey& key, Record value) {
-  if (backend_ != nullptr)
-    backend_->insert(key, std::move(value));
-  else
-    txn().insert(key, std::move(value));
+  access().insert(key, std::move(value));
 }
 
 const ObjectKey& TxEnv::key_of(VarId objvar) const {

@@ -18,6 +18,11 @@
 //     transactional writes through TxEnv::write_object / insert_object.
 // The executor is free to run operations in any order consistent with the
 // declared dependencies — that freedom is what ACN exploits.
+//
+// A TxEnv runs a program over a nesting::TxAccess: the closed-nesting
+// Transaction on one quorum group, a cross-shard ShardTx, or the epoch
+// lane's speculative workspace.  Workload authors never write per-runtime
+// code.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "src/nesting/transaction.hpp"
+#include "src/nesting/context.hpp"
 
 namespace acn::ir {
 
@@ -88,39 +93,21 @@ struct TxProgram {
   std::size_t remote_op_count() const;
 };
 
-/// Storage backend a TxEnv can drive instead of a nesting::Transaction:
-/// the cross-shard path (shard::Client) executes the same TxPrograms over a
-/// ShardTx adapter, so workload authors never write per-runtime code.  A
-/// backend buffers writes itself (read-your-writes included) and throws
-/// dtm::TxAbort on conflict, like the transactional runtime.
-class TxBackend {
- public:
-  virtual ~TxBackend() = default;
-  virtual Record read(const ObjectKey& key) = 0;
-  virtual void write(const ObjectKey& key, Record value) = 0;
-  virtual void insert(const ObjectKey& key, Record value) = 0;
-};
-
 /// Execution state of one transaction attempt: variable slots plus the
 /// object-key bindings of remote-access outputs.  Snapshots support
 /// closed-nesting partial rollback (a re-executed Block must observe the
 /// variable state from before its first attempt).
 class TxEnv {
  public:
-  TxEnv(nesting::Transaction& txn, const TxProgram& program,
+  /// Remote reads and object writes go through `access`.
+  TxEnv(nesting::TxAccess& access, const TxProgram& program,
         std::vector<Record> params);
 
   /// Evaluation-only environment with no transaction behind it: params are
   /// bound, remote outputs stay unset.  Used to evaluate key functions
   /// before execution (footprint prediction); calling run_remote,
-  /// write_object, insert_object or txn() on such an env is a logic error.
+  /// write_object or insert_object on such an env is a logic error.
   TxEnv(const TxProgram& program, std::vector<Record> params);
-
-  /// Backend-driven environment: remote reads/writes go through `backend`
-  /// instead of a nesting::Transaction (contention piggybacking is a
-  /// Transaction feature and stays inert).  txn() is a logic error.
-  TxEnv(TxBackend& backend, const TxProgram& program,
-        std::vector<Record> params);
 
   const Record& get(VarId v) const;
   Field geti(VarId v, std::size_t field = 0) const;
@@ -129,19 +116,16 @@ class TxEnv {
   bool is_set(VarId v) const noexcept;
 
   /// Executes a remote access op: resolves the key, performs the
-  /// transactional read (with optional contention piggyback), binds key and
-  /// value to `op.out`.
+  /// transactional read, binds key and value to `op.out`.
   void run_remote(const RemoteAccessOp& op);
 
-  /// Enable contention piggybacking: every remote read requests the levels
-  /// of `classes` and delivers the reply to `sink` (classes, levels).
-  /// This is the paper's "meta-data coupled with existing network
-  /// messages" path (Section V-C2).
-  using ContentionSink =
-      std::function<void(const std::vector<ClassId>&,
-                         const std::vector<std::uint64_t>&)>;
-  void set_contention_piggyback(std::vector<ClassId> classes,
-                                ContentionSink sink);
+  /// Executes `op`: run_remote for an access, the function for a local op.
+  void execute(const Op& op) {
+    if (op.is_remote())
+      run_remote(op.remote);
+    else
+      op.local.fn(*this);
+  }
 
   /// Install (or clear, with nullptr) the access observer.
   void set_observer(AccessObserver* observer) noexcept {
@@ -157,12 +141,6 @@ class TxEnv {
 
   const ObjectKey& key_of(VarId objvar) const;
 
-  nesting::Transaction& txn() {
-    if (txn_ == nullptr)
-      throw std::logic_error("TxEnv::txn on an evaluation-only env");
-    return *txn_;
-  }
-
   struct Snapshot {
     std::vector<std::optional<Record>> vars;
     std::vector<std::optional<ObjectKey>> keys;
@@ -174,12 +152,11 @@ class TxEnv {
   }
 
  private:
-  nesting::Transaction* txn_;
-  TxBackend* backend_ = nullptr;
+  nesting::TxAccess& access() const;
+
+  nesting::TxAccess* access_ = nullptr;
   std::vector<std::optional<Record>> vars_;
   std::vector<std::optional<ObjectKey>> keys_;
-  std::vector<ClassId> piggyback_classes_;
-  ContentionSink piggyback_sink_;
   AccessObserver* observer_ = nullptr;
 };
 

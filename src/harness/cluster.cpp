@@ -72,14 +72,11 @@ Cluster::Cluster(ClusterConfig config)
         config_.prepare_lease_ns));
     dtm::Server* server = servers_.back().get();
     server->set_group(static_cast<std::uint32_t>(i / config_.n_servers));
-    auto handler = [server](net::NodeId from, const dtm::Request& request) {
-      return server->handle(from, request);
-    };
-    if (config_.async_servers)
-      network_.register_node_async(static_cast<net::NodeId>(i),
-                                   std::move(handler));
-    else
-      network_.register_node(static_cast<net::NodeId>(i), std::move(handler));
+    network_.register_node(
+        static_cast<net::NodeId>(i),
+        [server](net::NodeId from, const dtm::Request& request) {
+          return server->handle(from, request);
+        });
   }
 
   if (config_.durability.mode == DurabilityMode::kWal) {

@@ -109,9 +109,6 @@ struct ClusterConfig {
   /// Prepare-lease lifetime on every server; <= 0 disables expiry (prepared
   /// locks then live until an explicit commit or abort).
   std::int64_t prepare_lease_ns = 0;
-  /// Give each server its own mailbox worker thread (see net::Mailbox)
-  /// instead of executing handlers inline on client threads.
-  bool async_servers = false;
   DurabilityConfig durability;
   dtm::StubConfig stub;
   /// Simulated in-process replicas (default) or a spawned multi-process

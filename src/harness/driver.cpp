@@ -115,26 +115,33 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
   std::vector<ExecStats> thread_stats(config.n_clients);
   std::vector<std::string> thread_errors(config.n_clients);
 
+  // Every submitter is built before any client thread starts: building one
+  // may register a network node (a sharded Client's coordinator), which
+  // must not race traffic from running clients.
+  std::vector<std::unique_ptr<Submitter>> submitters;
+  submitters.reserve(config.n_clients);
+  for (std::size_t t = 0; t < config.n_clients; ++t) {
+    ExecutorConfig exec_config = config.executor;
+    if (obs) exec_config.obs = obs;
+    if (protocol == Protocol::kAcn && config.piggyback_contention)
+      exec_config.piggyback_monitor = monitor.get();
+    const std::uint64_t exec_seed = config.seed ^ (t << 20);
+    submitters.push_back(
+        config.make_submitter
+            ? config.make_submitter(cluster, t, exec_config, exec_seed)
+            : std::make_unique<ExecutorSubmitter>(
+                  cluster.make_stub(static_cast<int>(t),
+                                    config.seed + 0x100 + t),
+                  exec_config, exec_seed));
+  }
+
   std::vector<std::thread> clients;
   clients.reserve(config.n_clients);
   for (std::size_t t = 0; t < config.n_clients; ++t) {
     clients.emplace_back([&, t] {
       Rng rng(config.seed * 0x9e3779b97f4a7c15ULL + t + 1);
-      ExecutorConfig exec_config = config.executor;
-      if (obs) {
-        exec_config.obs = obs;
-        obs->tracer.set_thread_name("client-" + std::to_string(t));
-      }
-      if (protocol == Protocol::kAcn && config.piggyback_contention)
-        exec_config.piggyback_monitor = monitor.get();
-      const std::uint64_t exec_seed = config.seed ^ (t << 20);
-      std::unique_ptr<Submitter> submitter =
-          config.make_submitter
-              ? config.make_submitter(cluster, t, exec_config, exec_seed)
-              : std::make_unique<ExecutorSubmitter>(
-                    cluster.make_stub(static_cast<int>(t),
-                                      config.seed + 0x100 + t),
-                    exec_config, exec_seed);
+      if (obs) obs->tracer.set_thread_name("client-" + std::to_string(t));
+      Submitter& submitter = *submitters[t];
       // One RunOptions per profile, built once: only the per-transaction
       // params vary inside the loop.
       std::vector<RunOptions> profile_options(profiles.size());
@@ -166,7 +173,7 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
           const auto params = profiles[p].make_params(
               rng, phase.load(std::memory_order_relaxed));
           const Stopwatch tx_watch;
-          submitter->run(protocol, profile_options[p], params, stats);
+          submitter.run(protocol, profile_options[p], params, stats);
           latency.add(tx_watch.elapsed_ns());
           const std::size_t interval =
               current_interval.load(std::memory_order_relaxed);

@@ -33,45 +33,34 @@ const Record* Transaction::find_buffered(const ObjectKey& key) const {
   return nullptr;
 }
 
-const Record& Transaction::remote_read(const ObjectKey& key,
-                                       const std::vector<dtm::ClassId>& classes,
-                                       std::vector<std::uint64_t>* levels_out) {
+void Transaction::set_contention_piggyback(std::vector<dtm::ClassId> classes,
+                                           ContentionSink sink) {
+  piggyback_classes_ = std::move(classes);
+  piggyback_sink_ = std::move(sink);
+}
+
+void Transaction::deliver_levels(const std::vector<std::uint64_t>& levels) const {
+  if (piggyback_sink_ && !levels.empty())
+    piggyback_sink_(piggyback_classes_, levels);
+}
+
+Record Transaction::read(const ObjectKey& key) {
+  if (const Record* buffered = find_buffered(key)) {
+    ++stats_.cached_reads;
+    if (obs_) obs_->cached_reads.add();
+    return *buffered;
+  }
   ++stats_.remote_reads;
   if (obs_) obs_->remote_reads.add();
-  auto outcome = stub_.read(id_, key, all_version_checks(), classes);
-  if (levels_out && !outcome.contention.empty())
-    *levels_out = std::move(outcome.contention);
-  auto [it, inserted] =
-      frames_.back().reads.emplace(key, std::move(outcome.record));
-  (void)inserted;
-  return it->second.value;
-}
-
-const Record& Transaction::read(const ObjectKey& key) {
-  if (const Record* buffered = find_buffered(key)) {
-    ++stats_.cached_reads;
-    if (obs_) obs_->cached_reads.add();
-    return *buffered;
-  }
-  return remote_read(key, {}, nullptr);
-}
-
-const Record& Transaction::read(const ObjectKey& key,
-                                const std::vector<dtm::ClassId>& classes,
-                                std::vector<std::uint64_t>& levels_out) {
-  if (const Record* buffered = find_buffered(key)) {
-    ++stats_.cached_reads;
-    if (obs_) obs_->cached_reads.add();
-    return *buffered;
-  }
-  return remote_read(key, classes, &levels_out);
+  auto outcome = stub_.read(id_, key, all_version_checks(), piggyback_classes_);
+  deliver_levels(outcome.contention);
+  return frames_.back().reads.emplace(key, std::move(outcome.record))
+      .first->second.value;
 }
 
 std::vector<std::pair<ObjectKey, VersionedRecord>> Transaction::read_many(
     const std::vector<ObjectKey>& keys,
-    const std::vector<ObjectKey>& speculative,
-    const std::vector<dtm::ClassId>& classes,
-    std::vector<std::uint64_t>* levels_out) {
+    const std::vector<ObjectKey>& speculative) {
   std::vector<ObjectKey> fetch;
   fetch.reserve(keys.size() + speculative.size());
   const auto want = [&](const ObjectKey& key) {
@@ -87,9 +76,9 @@ std::vector<std::pair<ObjectKey, VersionedRecord>> Transaction::read_many(
 
   stats_.remote_reads += group_count;
   if (obs_ && group_count > 0) obs_->remote_reads.add(group_count);
-  auto outcome = stub_.read_many(id_, fetch, all_version_checks(), classes);
-  if (levels_out && !outcome.contention.empty())
-    *levels_out = std::move(outcome.contention);
+  auto outcome =
+      stub_.read_many(id_, fetch, all_version_checks(), piggyback_classes_);
+  deliver_levels(outcome.contention);
 
   std::vector<std::pair<ObjectKey, VersionedRecord>> spec;
   spec.reserve(fetch.size() - group_count);
@@ -237,9 +226,16 @@ void Transaction::commit() {
   record_history(ticket.keys, ticket.new_versions);
 }
 
+bool Transaction::restore_checkpoint(std::size_t index) {
+  frames_ = std::move(checkpoints_.at(index));
+  checkpoints_.resize(index);
+  return true;
+}
+
 void Transaction::reset(TxId new_id) {
   frames_.clear();
   frames_.emplace_back();
+  checkpoints_.clear();
   id_ = new_id;
   stats_ = {};
 }

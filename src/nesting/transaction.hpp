@@ -22,27 +22,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
-#include "src/dtm/abort.hpp"
 #include "src/dtm/quorum_stub.hpp"
+#include "src/nesting/context.hpp"
 #include "src/nesting/history.hpp"
 
 namespace acn::nesting {
 
-using dtm::ObjectKey;
-using dtm::Record;
-using dtm::TxAbort;
-using dtm::TxId;
 using dtm::Version;
-using dtm::VersionedRecord;
-
-/// Outcome classification for a TxAbort observed mid-execution.
-enum class AbortScope {
-  kPartial,  // only the active sub-transaction must re-execute
-  kFull,     // the whole transaction must restart
-};
 
 struct TxnStats {
   std::uint64_t remote_reads = 0;
@@ -50,48 +40,30 @@ struct TxnStats {
   std::uint64_t writes = 0;
 };
 
-class Transaction {
+class Transaction final : public TxContext {
   struct Frame {
     std::unordered_map<ObjectKey, VersionedRecord, store::ObjectKeyHash> reads;
     std::unordered_map<ObjectKey, Record, store::ObjectKeyHash> writes;
   };
 
  public:
-  /// Opaque deep copy of the transaction's buffered state, for
-  /// checkpoint-based partial rollback (the alternative partial-abort
-  /// technique the paper contrasts closed nesting with in Section III).
-  class Checkpoint {
-    friend class Transaction;
-    std::vector<Frame> frames_;
-  };
-
   Transaction(dtm::QuorumStub& stub, TxId id);
 
-  TxId id() const noexcept { return id_; }
+  TxId id() const noexcept override { return id_; }
 
   /// Transactional read.  Returns the buffered/remote value.  Throws
   /// dtm::TxAbort (validation/busy/unavailable) or dtm::ObjectMissing.
-  const Record& read(const ObjectKey& key);
-
-  /// Like read(), but also requests contention levels for `classes`
-  /// piggybacked on the read RPC when it goes remote; results land in
-  /// `levels_out` (aligned with `classes`, untouched on a cached read).
-  const Record& read(const ObjectKey& key,
-                     const std::vector<dtm::ClassId>& classes,
-                     std::vector<std::uint64_t>& levels_out);
+  Record read(const ObjectKey& key) override;
 
   /// Batched transactional read: ONE quorum round fetches every key in
   /// `keys` that is not already buffered (installing them into the current
   /// frame) plus every key in `speculative`, whose records are *returned*
   /// instead of installed so a later frame can adopt them (adopt_read)
   /// without polluting this frame's read set.  Duplicates and buffered keys
-  /// are skipped.  `classes`/`levels_out` piggyback contention like read().
-  /// Throws exactly what read() throws.
+  /// are skipped.  Throws exactly what read() throws.
   std::vector<std::pair<ObjectKey, VersionedRecord>> read_many(
       const std::vector<ObjectKey>& keys,
-      const std::vector<ObjectKey>& speculative = {},
-      const std::vector<dtm::ClassId>& classes = {},
-      std::vector<std::uint64_t>* levels_out = nullptr);
+      const std::vector<ObjectKey>& speculative) override;
 
   /// Install a record fetched earlier (by a speculative read_many) into the
   /// current frame, as if read() had gone remote now.  The adopted version
@@ -99,50 +71,49 @@ class Transaction {
   /// stale since the fetch aborts exactly like a stale read — and because it
   /// lives in the adopting frame, that abort classifies as partial.  Returns
   /// false (installing nothing) when the key is already buffered.
-  bool adopt_read(const ObjectKey& key, const VersionedRecord& record);
+  bool adopt_read(const ObjectKey& key, const VersionedRecord& record) override;
 
   /// Buffer a write.  The object must have been read by this transaction
   /// first (QR-DTM write semantics: the first write fetches); use insert()
   /// for blind creation of fresh objects.
-  void write(const ObjectKey& key, Record value);
+  void write(const ObjectKey& key, Record value) override;
 
   /// Blind insert of a fresh object (no remote fetch, version floor 0).
-  void insert(const ObjectKey& key, Record value);
+  void insert(const ObjectKey& key, Record value) override;
 
   bool has_read(const ObjectKey& key) const;
   bool has_written(const ObjectKey& key) const;
 
   // -- closed nesting ------------------------------------------------------
-  void begin_nested();
-  void commit_nested();  // merge top frame into its parent
-  void abort_nested();   // discard top frame (partial rollback)
+  void begin_nested() override;
+  void commit_nested() override;  // merge top frame into its parent
+  void abort_nested() override;   // discard top frame (partial rollback)
   std::size_t depth() const noexcept { return frames_.size(); }
 
   /// Partial iff a sub-transaction is active and no invalidated object
   /// belongs to a frame below the top.
-  AbortScope classify(const TxAbort& abort) const;
+  AbortScope classify(const TxAbort& abort) const override;
+
+  // -- checkpointing ---------------------------------------------------
+  /// Deep copy of all frames.  O(read-set + write-set) — the cost the
+  /// paper identifies as checkpointing's handicap versus closed nesting.
+  void checkpoint() override { checkpoints_.push_back(frames_); }
+
+  /// Reads/writes performed after the checkpoint are discarded; nothing was
+  /// visible remotely, so no network I/O.  Always succeeds.
+  bool restore_checkpoint(std::size_t index) override;
 
   // -- commit --------------------------------------------------------------
   /// Two-phase commit of the flattened sets; requires depth() == 1.
   /// Throws TxAbort on conflict.  Read-only transactions run a final
   /// validation round instead of 2PC.
-  void commit();
+  void commit() override;
+
+  /// Nothing to release: commit() frees what it acquired when it fails.
+  void abort() override {}
 
   /// Discard all buffered state and adopt a fresh id (full restart).
   void reset(TxId new_id);
-
-  // -- checkpointing ---------------------------------------------------
-  /// Deep copy of all frames.  O(read-set + write-set) — the cost the
-  /// paper identifies as checkpointing's handicap versus closed nesting.
-  Checkpoint checkpoint() const {
-    Checkpoint point;
-    point.frames_ = frames_;
-    return point;
-  }
-
-  /// Roll the buffered state back to `point` (reads/writes performed after
-  /// it are discarded; nothing was visible remotely, so no network I/O).
-  void restore(Checkpoint point) { frames_ = std::move(point.frames_); }
 
   std::size_t read_set_size() const;
   std::size_t write_set_size() const;
@@ -156,21 +127,33 @@ class Transaction {
   /// partial/full classification tallies, and a commit-phase trace span.
   void set_obs(obs::Observability* obs) noexcept { obs_ = obs; }
 
+  /// Contention piggybacking: every remote read (and read_many round) also
+  /// requests the levels of `classes` and delivers the reply to `sink`.
+  /// This is the paper's "meta-data coupled with existing network
+  /// messages" path (Section V-C2).
+  using ContentionSink =
+      std::function<void(const std::vector<dtm::ClassId>&,
+                         const std::vector<std::uint64_t>&)>;
+  void set_contention_piggyback(std::vector<dtm::ClassId> classes,
+                                ContentionSink sink);
+
  private:
   AbortScope classify_scope(const TxAbort& abort) const;
   /// All frames' read versions, for incremental-validation payloads.
   std::vector<dtm::VersionCheck> all_version_checks() const;
   const Record* find_buffered(const ObjectKey& key) const;
-  const Record& remote_read(const ObjectKey& key,
-                            const std::vector<dtm::ClassId>& classes,
-                            std::vector<std::uint64_t>* levels_out);
+  /// Hand piggybacked contention levels to the sink, if any came back.
+  void deliver_levels(const std::vector<std::uint64_t>& levels) const;
 
   dtm::QuorumStub& stub_;
   TxId id_;
   std::vector<Frame> frames_;
+  std::vector<std::vector<Frame>> checkpoints_;
   TxnStats stats_;
   HistoryLog* history_ = nullptr;
   obs::Observability* obs_ = nullptr;
+  std::vector<dtm::ClassId> piggyback_classes_;
+  ContentionSink piggyback_sink_;
 };
 
 /// Monotonic transaction-id source shared by all clients in the process.

@@ -70,10 +70,7 @@ EntryOutcome run_entry(const ir::TxProgram& program,
   try {
     for (const ir::Op& op : program.ops) {
       ++out.ops;
-      if (op.is_remote())
-        env.run_remote(op.remote);
-      else
-        op.local.fn(env);
+      env.execute(op);
     }
   } catch (const MispredictedAccess& miss) {
     out.mispredicted = miss.key;

@@ -80,10 +80,10 @@ struct EntryOutcome {
   std::optional<store::ObjectKey> mispredicted;
 };
 
-/// ir::TxBackend over a Workspace: read-your-writes, then published epoch
-/// writes, then the prefetched cache; buffered writes published by the
-/// caller on success only.
-class SpecBackend final : public ir::TxBackend {
+/// The accesses of one epoch entry, over a Workspace: read-your-writes,
+/// then published epoch writes, then the prefetched cache; buffered writes
+/// published by the caller on success only.
+class SpecBackend final : public nesting::TxAccess {
  public:
   /// `planned` must be canonical (ascending) — the entry's predicted
   /// footprint; it bounds every access.

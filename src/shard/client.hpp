@@ -2,23 +2,25 @@
 //
 // A Client is what a workload thread holds instead of a raw Executor: one
 // endpoint that accepts every TxProgram under every protocol and decides,
-// per transaction, how it reaches the cluster.  Dispatch is footprint
-// driven:
+// per transaction, how it reaches the cluster.  It only routes; both paths
+// run the same acn::Executor loop, so Block retries, checkpoints, backoff,
+// obs counters and the scheduler-gate conversation are written once.
+// Dispatch is footprint driven:
 //
-//   1. predict — evaluate acn::predicted_footprint over the bound params
-//      and ask the ShardRouter for a route plan.
+//   1. predict — evaluate acn::predicted_footprint over the bound params.
+//      With a deterministic lane (kQueue, or kHybrid when the scheduler
+//      calls the footprint hot) the transaction goes to the epoch lane
+//      first; a demotion falls through to the optimistic paths.
 //   2. single-shard plan — run the transaction through the home group's
-//      Executor::run, unchanged: full ACN partial rollback, batched reads,
-//      checkpointing, everything the unsharded path has.  No other group
-//      hears about the transaction.
-//   3. multi-shard plan — execute the program block by block over a
-//      ShardTx (cross-shard 2PC at commit).  Before each Block the Client
-//      checkpoints the ShardTx and the variable environment; an execution
-//      abort whose invalidated keys are all confined to the current Block
-//      rolls back to the checkpoint and retries the Block — partial
-//      rollback preserved across shards.  Aborts touching earlier Blocks'
-//      reads, and any commit-phase abort, restart the transaction with
-//      randomized exponential backoff.
+//      Executor, over nesting::Transactions on that group: full ACN partial
+//      rollback, batched reads, checkpointing.  No other group hears about
+//      the transaction.
+//   3. multi-shard plan — run it through the cross-shard Executor, built
+//      over the Client's CrossShardCoordinator, so every attempt runs in a
+//      ShardTx (2PC across groups at commit).  A ShardTx's Block frame is a
+//      saved copy of its buffered sets: an abort whose invalidated keys were
+//      all first read inside the current Block retries just that Block, as
+//      on the fast path, and kCheckpoint restores checkpoints.
 //   4. escalate — predictions are blind to keys produced mid-transaction.
 //      With owner-scoped seeding a mispredicted single-shard transaction
 //      reads a foreign key on its home group and surfaces
@@ -27,12 +29,10 @@
 //      path (a genuinely absent key is re-thrown — that is a workload
 //      bug, not a routing miss).
 //
-// The contention-aware scheduler wraps BOTH paths identically: the fast
-// path gates inside Executor::run as before; the cross-shard interpreter
-// performs the same admit / on_full_abort / finish conversation itself,
-// classifying 2PC aborts with the shared acn::outcome_of.  A scheduler
-// cannot tell the paths apart — which is the point: admission control is a
-// property of the submission API, not of any one execution engine.
+// The contention-aware scheduler sees one conversation per Executor run
+// (admit / on_full_abort / finish, 2PC aborts classified with the shared
+// acn::outcome_of), so it cannot tell the paths apart: admission control is
+// a property of the submission API, not of any one execution engine.
 //
 // ClientFleet is the per-benchmark bundle: it owns the ShardMap (built
 // from the workload's placement), the ShardRouter and the shared
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "src/acn/executor.hpp"
-#include "src/common/rng.hpp"
 #include "src/harness/driver.hpp"
 #include "src/shard/coordinator.hpp"
 #include "src/workloads/workload.hpp"
@@ -159,22 +158,17 @@ class Client final : public harness::Submitter {
   }
 
  private:
-  void run_cross_shard(Protocol protocol, const acn::RunOptions& options,
-                       const std::vector<acn::ir::Record>& params,
-                       const KeyFootprint& predicted, acn::ExecStats& stats);
-  void backoff(int attempt);
-
   const ShardRouter& router_;
   ClientStats& stats_;
-  acn::ExecutorConfig config_;
   ExecMode mode_ = ExecMode::kAcn;
   std::shared_ptr<Lane> lane_;
   CrossShardCoordinator coordinator_;
+  /// The cross-shard path: attempts run in ShardTxs coordinator_ opens.
+  acn::Executor cross_;
   /// One stub + Executor per quorum group (stable addresses: the Executor
   /// keeps a reference to its stub).
   std::vector<std::unique_ptr<dtm::QuorumStub>> stubs_;
   std::vector<std::unique_ptr<acn::Executor>> executors_;
-  Rng rng_;
 };
 
 /// Everything a benchmark needs to run a workload sharded: the ShardMap

@@ -97,8 +97,55 @@ void ShardTx::write(const store::ObjectKey& key, store::Record value) {
   writes_[key] = std::move(value);
 }
 
-ShardTx::Checkpoint ShardTx::checkpoint() const {
-  return {reads_, read_groups_, writes_};
+std::vector<std::pair<store::ObjectKey, store::VersionedRecord>>
+ShardTx::read_many(const std::vector<store::ObjectKey>& keys,
+                   const std::vector<store::ObjectKey>&) {
+  for (const auto& key : keys) read(key);
+  return {};
+}
+
+bool ShardTx::adopt_read(const store::ObjectKey& key,
+                         const store::VersionedRecord& record) {
+  if (writes_.count(key) != 0 || reads_.count(key) != 0) return false;
+  reads_.emplace(key, record);
+  read_groups_.emplace(key, serving_group(key));
+  return true;
+}
+
+void ShardTx::begin_nested() {
+  if (frame_)
+    throw std::logic_error(
+        "ShardTx::begin_nested: only one level of nesting is supported");
+  frame_ = buffered();
+}
+
+void ShardTx::commit_nested() {
+  if (!frame_)
+    throw std::logic_error("ShardTx::commit_nested without begin_nested");
+  frame_.reset();
+}
+
+void ShardTx::abort_nested() {
+  if (!frame_)
+    throw std::logic_error("ShardTx::abort_nested without begin_nested");
+  restore(std::move(*frame_));
+  frame_.reset();
+}
+
+nesting::AbortScope ShardTx::classify(const dtm::TxAbort& abort) const {
+  if (!frame_) return nesting::AbortScope::kFull;
+  for (const auto& key : abort.invalid())
+    if (frame_->reads.count(key) != 0) return nesting::AbortScope::kFull;
+  return nesting::AbortScope::kPartial;
+}
+
+void ShardTx::checkpoint() { checkpoints_.push_back(buffered()); }
+
+bool ShardTx::restore_checkpoint(std::size_t index) {
+  if (state_ != State::kActive) return false;
+  restore(std::move(checkpoints_.at(index)));
+  checkpoints_.resize(index);
+  return true;
 }
 
 void ShardTx::restore(Checkpoint checkpoint) {

@@ -43,12 +43,14 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <vector>
 
-#include <memory>
-
+#include "src/acn/executor.hpp"
 #include "src/dtm/quorum_stub.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/nesting/context.hpp"
 #include "src/nesting/history.hpp"
 #include "src/shard/decision_log.hpp"
 #include "src/shard/router.hpp"
@@ -73,43 +75,68 @@ struct CoordinatorStats {
 
 class CrossShardCoordinator;
 
-/// One transaction against the sharded keyspace.  Not thread-safe; one
+/// One transaction against the sharded keyspace, and the context an
+/// acn::Executor drives on the cross-shard path.  Not thread-safe; one
 /// client thread drives a ShardTx from begin to commit/abort.
-class ShardTx {
+class ShardTx final : public nesting::TxContext {
  public:
   /// Read `key` from its owning group (read-your-writes: a buffered write
   /// or prior read of the key is served locally).  Replicated-class keys
   /// are served by the transaction's home group — every group holds them,
   /// so the read never widens the participant set.  Throws what
   /// QuorumStub::read throws.
-  store::Record read(const store::ObjectKey& key);
+  store::Record read(const store::ObjectKey& key) override;
 
   /// Buffer a write; nothing goes remote until commit().  Writes to
   /// replicated classes are refused (std::logic_error) — the groups'
   /// copies would silently diverge.
-  void write(const store::ObjectKey& key, store::Record value);
+  void write(const store::ObjectKey& key, store::Record value) override;
 
-  /// Deep copy of the buffered read/write-sets, for block-level partial
-  /// rollback on the cross-shard path: shard::Client checkpoints before
-  /// each Block and restores instead of restarting when an abort is
-  /// confined to the current Block.
+  /// Prepare validates read checks only, never write versions, so a
+  /// buffered write with no prior read IS a blind insert.
+  void insert(const store::ObjectKey& key, store::Record value) override {
+    write(key, std::move(value));
+  }
+
+  /// Reads `keys` one at a time (batching per group is not implemented)
+  /// and fetches nothing speculatively.
+  std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> read_many(
+      const std::vector<store::ObjectKey>& keys,
+      const std::vector<store::ObjectKey>& speculative) override;
+  bool adopt_read(const store::ObjectKey& key,
+                  const store::VersionedRecord& record) override;
+
+  /// The Block frame is one saved copy of the buffered sets: abort_nested
+  /// puts it back, and an abort is partial iff none of its invalidated keys
+  /// was read before the frame began.
+  void begin_nested() override;
+  void commit_nested() override;
+  void abort_nested() override;
+  nesting::AbortScope classify(const dtm::TxAbort& abort) const override;
+
+  /// Checkpoints are saved copies too.  A finished handle (its commit
+  /// failed and released everything) cannot roll back.
+  void checkpoint() override;
+  bool restore_checkpoint(std::size_t index) override;
+
+  /// The buffered read/write-sets, as restore() installs them.
   struct Checkpoint {
     std::map<store::ObjectKey, store::VersionedRecord> reads;
     std::map<store::ObjectKey, std::uint32_t> read_groups;
     std::map<store::ObjectKey, store::Record> writes;
   };
-  Checkpoint checkpoint() const;
-  /// Roll the buffered state back to `checkpoint` (kActive only).
+  /// Replace the buffered state (kActive only).  The epoch lane installs an
+  /// epoch's combined read and write sets this way before committing.
   void restore(Checkpoint checkpoint);
 
   /// Classify by the keys actually touched and run the single-shard fast
   /// path or cross-shard 2PC.  Throws TxAbort on conflict/expiry (the
   /// transaction is then fully released) and leaves the handle finished.
-  void commit();
+  void commit() override;
 
   /// Release anything prepared and finish the handle.  Safe to call in any
   /// state; idempotent.
-  void abort();
+  void abort() override;
 
   // -- test hooks: drive 2PC phase by phase (coordinator-crash tests) ------
   /// Phase 1 only: classify, prepare every write group, validate read-only
@@ -128,7 +155,7 @@ class ShardTx {
   std::vector<std::pair<store::ObjectKey, store::Version>> prepared_writes()
       const;
 
-  dtm::TxId id() const noexcept { return tx_; }
+  dtm::TxId id() const noexcept override { return tx_; }
   const RoutePlan& predicted() const noexcept { return predicted_; }
   /// The reclassified plan; meaningful after prepare_all()/commit().
   const RoutePlan& committed_plan() const noexcept { return plan_; }
@@ -148,6 +175,7 @@ class ShardTx {
       : owner_(owner), tx_(tx), predicted_(std::move(predicted)) {}
 
   std::vector<dtm::VersionCheck> group_checks(std::uint32_t group) const;
+  Checkpoint buffered() const { return {reads_, read_groups_, writes_}; }
 
   /// The group a read of `key` would be (or was) served by: the owner, or
   /// the home group for replicated classes.
@@ -166,9 +194,14 @@ class ShardTx {
   std::map<store::ObjectKey, std::uint32_t> read_groups_;
   std::map<store::ObjectKey, store::Record> writes_;
   std::vector<PreparedGroup> prepared_;
+  /// The open Block frame's saved state, and the saved checkpoints.
+  std::optional<Checkpoint> frame_;
+  std::vector<Checkpoint> checkpoints_;
 };
 
-class CrossShardCoordinator {
+/// An acn::Executor built over a coordinator runs every attempt in a
+/// ShardTx: the cross-shard path of shard::Client.
+class CrossShardCoordinator final : public acn::ContextSource {
  public:
   /// `client_ordinal` is the client's network identity (shared by all the
   /// coordinator's per-group stubs) and must be unique per coordinator —
@@ -184,6 +217,12 @@ class CrossShardCoordinator {
   /// Start a transaction; `predicted` seeds the route plan (pass
   /// acn::predicted_footprint output, or {} when nothing is predictable).
   ShardTx begin(const KeyFootprint& predicted = {});
+
+  /// begin(), as a context an Executor owns.
+  std::unique_ptr<nesting::TxContext> open(
+      const KeyFootprint& predicted) override {
+    return std::make_unique<ShardTx>(begin(predicted));
+  }
 
   const ShardRouter& router() const noexcept { return router_; }
   const CoordinatorStats& stats() const noexcept { return stats_; }

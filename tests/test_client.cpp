@@ -4,9 +4,10 @@
 // re-runs cross-shard and commits; a genuinely absent key stays a workload
 // bug), admission gating of the cross-shard path (the same
 // admit / on_full_abort / finish conversation the Executor has, with 2PC
-// aborts classified through the shared acn::outcome_of), manual-CN block
-// execution across shards, and ClientFleet building a custom/replicated
-// ShardMap from a workload's placement.
+// aborts classified through the shared acn::outcome_of), a 2PC abort
+// restarting a checkpointed run in full, manual-CN block execution across
+// shards, and ClientFleet building a custom/replicated ShardMap from a
+// workload's placement.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -301,6 +302,40 @@ TEST(Client, CrossShardPathIsAdmissionGatedAndClassifiesAborts) {
   EXPECT_EQ(gate.last_outcome, acn::TxOutcome::kCommitted);
 
   EXPECT_EQ(latest_sharded(cluster, map, src).value.fields[0], 425);
+  EXPECT_EQ(latest_sharded(cluster, map, dst).value.fields[0], 999 + 75);
+}
+
+TEST(Client, CrossShardCommitAbortRestartsCheckpointedRunInFull) {
+  // A failed 2PC finishes the ShardTx (its prepares are released), so even
+  // under kCheckpoint a commit-phase abort cannot roll back to a checkpoint:
+  // the transaction restarts, and the restart commits.
+  harness::Cluster cluster(fast_cluster(2));
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  const ObjectKey src{1, 5}, dst{1, 105};
+  seed_sharded(cluster, map, src, Record{500});
+  seed_sharded(cluster, map, dst, Record{500});
+  CrossShardCoordinator rival(cluster, router, /*client_ordinal=*/9);
+  bool rival_fired = false;
+  const auto program = transfer_program([&] {
+    if (rival_fired) return;
+    rival_fired = true;
+    ShardTx tx = rival.begin({{dst, true}});
+    tx.write(dst, Record{999});
+    tx.commit();
+  });
+
+  ClientStats stats;
+  Client client(cluster, router, stats, 0, fast_executor(), 23);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kCheckpoint, acn::with_program(program),
+             {Record{5}, Record{105}}, es);
+
+  EXPECT_EQ(es.commits, 1u);
+  EXPECT_EQ(es.aborts_at_commit, 1u);
+  EXPECT_EQ(es.full_aborts, 1u);
+  EXPECT_EQ(es.checkpoint_restores, 0u);
+  EXPECT_EQ(stats.cross_commits.load(), 1u);
   EXPECT_EQ(latest_sharded(cluster, map, dst).value.fields[0], 999 + 75);
 }
 

@@ -1,13 +1,17 @@
 // Executor Engine tests: flat vs block execution equivalence (property test
 // over random valid Block Sequences), deterministic partial-rollback and
 // full-abort paths (with an in-program saboteur committing conflicting
-// writes), escalation limits, and adaptive plan switching.
+// writes), escalation limits, and adaptive plan switching.  Every sabotage
+// scenario runs twice — over the group's stub (nesting::Transaction) and
+// over a CrossShardCoordinator (shard::ShardTx) — and both contexts must
+// produce the same ExecStats.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "src/acn/executor.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/shard/coordinator.hpp"
 #include "src/workloads/bank.hpp"
 
 namespace acn {
@@ -195,13 +199,61 @@ struct SabotageRig {
   }
 };
 
+struct Sabotage {
+  ObjectKey victim;
+  int fires = 0;
+  Protocol protocol = Protocol::kManualCN;
+  ExecutorConfig config = fast_executor();
+  /// kManualCN: run all three units as one Block instead of two.
+  bool one_block = false;
+};
+
+void expect_same_stats(const ExecStats& group, const ExecStats& cross) {
+  EXPECT_EQ(cross.commits, group.commits);
+  EXPECT_EQ(cross.full_aborts, group.full_aborts);
+  EXPECT_EQ(cross.partial_aborts, group.partial_aborts);
+  EXPECT_EQ(cross.ops_executed, group.ops_executed);
+  EXPECT_EQ(cross.blocks_executed, group.blocks_executed);
+  EXPECT_EQ(cross.aborts_at_commit, group.aborts_at_commit);
+  EXPECT_EQ(cross.aborts_in_execution, group.aborts_in_execution);
+  EXPECT_EQ(cross.aborts_busy, group.aborts_busy);
+  EXPECT_EQ(cross.checkpoints_taken, group.checkpoints_taken);
+  EXPECT_EQ(cross.checkpoint_restores, group.checkpoint_restores);
+  for (std::size_t i = 0; i < ExecStats::kPositionSlots; ++i) {
+    EXPECT_EQ(cross.partials_at_position[i], group.partials_at_position[i]);
+    EXPECT_EQ(cross.fulls_at_position[i], group.fulls_at_position[i]);
+  }
+}
+
+/// Runs the sabotaged program on a fresh rig through an Executor over the
+/// group's stub, and on another through an Executor over a single-group
+/// CrossShardCoordinator, whose attempts run in ShardTxs.  Both runs must
+/// give the same ExecStats; returns them.
+ExecStats run_sabotaged(const Sabotage& sabotage) {
+  ExecStats stats[2];
+  for (const bool cross_shard : {false, true}) {
+    SabotageRig rig(sabotage.victim, sabotage.fires);
+    if (sabotage.one_block) rig.sequence = {Block{{0, 1, 2}}};
+    const RunOptions options =
+        sabotage.protocol == Protocol::kManualCN
+            ? with_blocks(rig.program, rig.model, rig.sequence)
+            : with_program(rig.program);
+    auto stub = rig.cluster.make_stub(0);
+    const shard::ShardMap map(shard::ShardMapConfig{});
+    const shard::ShardRouter router(map);
+    shard::CrossShardCoordinator coordinator(rig.cluster, router, 0);
+    Executor executor =
+        cross_shard ? Executor(coordinator, sabotage.config, 1)
+                    : Executor(stub, sabotage.config, 1);
+    executor.run(sabotage.protocol, options, {}, stats[cross_shard]);
+  }
+  expect_same_stats(stats[0], stats[1]);
+  return stats[0];
+}
+
 TEST(Executor, PartialRollbackRetriesOnlyTheBlock) {
-  SabotageRig rig(kB, /*n_fires=*/1);  // victim first-read in current block
-  auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-  ExecStats stats;
-  executor.run(Protocol::kManualCN,
-               with_blocks(rig.program, rig.model, rig.sequence), {}, stats);
+  // Victim first-read in the current block.
+  const ExecStats stats = run_sabotaged({.victim = kB, .fires = 1});
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.partial_aborts, 1u);
   EXPECT_EQ(stats.full_aborts, 0u);
@@ -210,13 +262,19 @@ TEST(Executor, PartialRollbackRetriesOnlyTheBlock) {
   EXPECT_EQ(stats.blocks_executed, 1u + 2u);
 }
 
+TEST(Executor, SingleBlockPlanRetriesInPlace) {
+  // One Block holds every read, so any stale read is the Block's own.
+  const ExecStats stats =
+      run_sabotaged({.victim = kA, .fires = 1, .one_block = true});
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.partial_aborts, 1u);
+  EXPECT_EQ(stats.full_aborts, 0u);
+  EXPECT_EQ(stats.blocks_executed, 2u);
+}
+
 TEST(Executor, MergedHistoryConflictEscalatesToFullAbort) {
-  SabotageRig rig(kA, /*n_fires=*/1);  // victim read by the *previous* block
-  auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-  ExecStats stats;
-  executor.run(Protocol::kManualCN,
-               with_blocks(rig.program, rig.model, rig.sequence), {}, stats);
+  // Victim read by the *previous* block.
+  const ExecStats stats = run_sabotaged({.victim = kA, .fires = 1});
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.partial_aborts, 0u);
   EXPECT_EQ(stats.full_aborts, 1u);
@@ -224,14 +282,10 @@ TEST(Executor, MergedHistoryConflictEscalatesToFullAbort) {
 }
 
 TEST(Executor, RepeatedPartialsEscalateAtTheCap) {
-  SabotageRig rig(kB, /*n_fires=*/4);
-  auto stub = rig.cluster.make_stub(0);
   auto config = fast_executor();
   config.max_partial_retries = 3;
-  Executor executor(stub, config, 1);
-  ExecStats stats;
-  executor.run(Protocol::kManualCN,
-               with_blocks(rig.program, rig.model, rig.sequence), {}, stats);
+  const ExecStats stats =
+      run_sabotaged({.victim = kB, .fires = 4, .config = config});
   EXPECT_EQ(stats.commits, 1u);
   // Fires 1-3 are absorbed as partial retries; fire 4 exceeds the cap and
   // escalates; the restart runs clean.
@@ -240,11 +294,8 @@ TEST(Executor, RepeatedPartialsEscalateAtTheCap) {
 }
 
 TEST(Executor, FlatModeTreatsEveryConflictAsFullAbort) {
-  SabotageRig rig(kB, /*n_fires=*/2);
-  auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-  ExecStats stats;
-  executor.run(Protocol::kFlat, with_program(rig.program), {}, stats);
+  const ExecStats stats =
+      run_sabotaged({.victim = kB, .fires = 2, .protocol = Protocol::kFlat});
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.partial_aborts, 0u);
   EXPECT_EQ(stats.full_aborts, 2u);
@@ -254,11 +305,8 @@ TEST(Executor, CheckpointRestoreResumesAtInvalidRead) {
   // Victim B is read at op 1 (the second remote access); the conflict is
   // detected at read C.  The checkpoint executor must resume from B's
   // checkpoint, re-executing ops 1-3 but NOT op 0.
-  SabotageRig rig(kB, /*n_fires=*/1);
-  auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-  ExecStats stats;
-  executor.run(Protocol::kCheckpoint, with_program(rig.program), {}, stats);
+  const ExecStats stats = run_sabotaged(
+      {.victim = kB, .fires = 1, .protocol = Protocol::kCheckpoint});
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.full_aborts, 0u);
   EXPECT_EQ(stats.checkpoint_restores, 1u);
@@ -271,11 +319,8 @@ TEST(Executor, CheckpointRestoreResumesAtInvalidRead) {
 TEST(Executor, CheckpointRestoreReachesBackToEarlierAccess) {
   // Victim A was read at op 0: restore must rewind to the very first
   // checkpoint and re-execute everything — still no full abort.
-  SabotageRig rig(kA, /*n_fires=*/1);
-  auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-  ExecStats stats;
-  executor.run(Protocol::kCheckpoint, with_program(rig.program), {}, stats);
+  const ExecStats stats = run_sabotaged(
+      {.victim = kA, .fires = 1, .protocol = Protocol::kCheckpoint});
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.full_aborts, 0u);
   EXPECT_EQ(stats.checkpoint_restores, 1u);
@@ -318,13 +363,12 @@ TEST(Executor, CheckpointMatchesFlatFinalState) {
 }
 
 TEST(Executor, CheckpointEscalatesAfterRetryCap) {
-  SabotageRig rig(kB, /*n_fires=*/5);
-  auto stub = rig.cluster.make_stub(0);
   auto config = fast_executor();
   config.max_partial_retries = 3;
-  Executor executor(stub, config, 1);
-  ExecStats stats;
-  executor.run(Protocol::kCheckpoint, with_program(rig.program), {}, stats);
+  const ExecStats stats = run_sabotaged({.victim = kB,
+                                         .fires = 5,
+                                         .protocol = Protocol::kCheckpoint,
+                                         .config = config});
   EXPECT_EQ(stats.commits, 1u);
   // Fires 1-3 restore; fire 4 exceeds the cap -> full restart; fire 5
   // restores again on the second attempt.
@@ -401,12 +445,7 @@ TEST(Executor, SameCompositionComparesLayoutNotPointers) {
 }
 
 TEST(Executor, PartialAbortsLandInTheExpectedBlockPosition) {
-  SabotageRig rig(kB, /*n_fires=*/2);
-  auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-  ExecStats stats;
-  executor.run(Protocol::kManualCN,
-               with_blocks(rig.program, rig.model, rig.sequence), {}, stats);
+  const ExecStats stats = run_sabotaged({.victim = kB, .fires = 2});
   // The sabotaged block is position 1 of the two-block sequence.
   EXPECT_EQ(stats.partials_at_position[0], 0u);
   EXPECT_EQ(stats.partials_at_position[1], 2u);

@@ -169,18 +169,6 @@ TEST(Integration, CheckpointProtocolThroughDriver) {
   EXPECT_EQ(result.stats.partial_aborts, 0u);  // restores instead
 }
 
-TEST(Integration, AsyncMailboxClusterKeepsInvariants) {
-  auto cluster_config = quick_cluster();
-  cluster_config.async_servers = true;
-  Cluster cluster(cluster_config);
-  workloads::Bank bank({.n_branches = 16, .n_accounts = 128});
-  bank.seed(cluster.servers());
-  auto config = quick_driver();
-  config.intervals = 2;
-  const auto result = run(cluster, bank, Protocol::kAcn, config);
-  EXPECT_GT(result.stats.commits, 0u);
-}
-
 TEST(Integration, LevelMajorityQuorumClusterWorks) {
   auto cluster_config = quick_cluster();
   cluster_config.quorum_policy = QuorumPolicy::kLevelMajority;

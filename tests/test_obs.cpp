@@ -13,6 +13,7 @@
 
 #include "src/harness/driver.hpp"
 #include "src/obs/obs.hpp"
+#include "src/shard/client.hpp"
 #include "src/workloads/bank.hpp"
 
 namespace acn::obs {
@@ -568,6 +569,31 @@ TEST(ObsIntegration, FlatVsAcnAbortReasonCounters) {
   EXPECT_GT(count_occurrences(json, "\"name\":\"rpc.read\""), 0u);
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\""),
             count_occurrences(json, "\"ph\":\"E\""));
+}
+
+TEST(ObsIntegration, ShardedRunCountersMatchExecStats) {
+  // Two groups with branch-per-group placement: a transfer stays on one
+  // group only when both accounts and both branches do, so most run on the
+  // cross-shard path.  Its Executor must count them exactly like the fast
+  // path's.
+  Observability obs;
+  harness::ClusterConfig cluster_config = obs_cluster();
+  cluster_config.n_groups = 2;
+  harness::Cluster cluster(cluster_config);
+  workloads::Bank bank({.n_branches = 2, .n_accounts = 32});
+  shard::ClientFleet fleet(bank, 2);
+  fleet.seed(cluster, bank);
+  harness::DriverConfig driver = obs_driver(&obs);
+  driver.make_submitter = fleet.factory();
+  const auto result =
+      harness::run(cluster, bank, harness::Protocol::kAcn, driver);
+
+  EXPECT_GT(fleet.stats().cross_shard.load(), fleet.stats().fast_path.load());
+  EXPECT_GT(result.stats.commits, 0u);
+  EXPECT_EQ(result.metrics.counter("tx.commit"), result.stats.commits);
+  EXPECT_EQ(result.metrics.counter("tx.abort.full"), result.stats.full_aborts);
+  EXPECT_EQ(result.metrics.counter("tx.abort.partial"),
+            result.stats.partial_aborts);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "src/acn/txir.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/nesting/transaction.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace acn::ir {
