@@ -2,10 +2,10 @@
 
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "src/common/clock.hpp"
+#include "src/common/retry_policy.hpp"
 
 namespace acn {
 namespace {
@@ -219,11 +219,9 @@ std::unique_ptr<nesting::TxContext> Executor::begin_attempt(
 }
 
 void Executor::backoff(int attempt) {
-  const auto base = config_.backoff_base.count();
-  const std::int64_t shifted = base << std::min(attempt, 6);
-  const std::int64_t jitter =
-      static_cast<std::int64_t>(rng_.uniform(0, static_cast<std::uint64_t>(shifted)));
-  std::this_thread::sleep_for(std::chrono::nanoseconds{shifted + jitter});
+  const RetryPolicy policy{.base = config_.backoff_base, .max_doublings = 6,
+                           .jitter = 1.0};
+  precise_sleep_for(policy.delay(attempt, rng_));
 }
 
 void Executor::batched_fetch(const ir::TxProgram& program,

@@ -3,8 +3,9 @@
 // One struct owns the retry constants that used to be hard-coded in the
 // quorum stub's busy ladder (base delay, doubling with a cap, full-range
 // jitter) so every layer that backs off — the stub's busy retries, the
-// executor's full-restart backoff, and the scheduler's admission pacing —
-// shares the same documented shape instead of re-deriving it:
+// executor's full-restart backoff, the epoch lane's re-runs, the in-doubt
+// resolver and the scheduler's admission pacing — shares the same
+// documented shape instead of re-deriving it:
 //
 //   delay(attempt) = shifted + U[0, jitter * shifted],
 //   shifted        = base << min(attempt, max_doublings).
@@ -36,10 +37,16 @@ struct RetryPolicy {
   /// decorrelation the stub has always used.
   double jitter = 1.0;
 
+  /// Backoff delay for `attempt` (0-based) without the jitter term: the
+  /// whole delay of a policy whose `jitter` is 0.
+  std::chrono::nanoseconds delay(int attempt) const noexcept {
+    return base * (std::int64_t{1}
+                   << std::min(std::max(attempt, 0), max_doublings));
+  }
+
   /// Backoff delay for `attempt` (0-based), jittered through `rng`.
   std::chrono::nanoseconds delay(int attempt, Rng& rng) const noexcept {
-    const std::int64_t shifted =
-        base.count() << std::min(std::max(attempt, 0), max_doublings);
+    const std::int64_t shifted = delay(attempt).count();
     std::int64_t jittered = 0;
     if (jitter > 0.0 && shifted > 0) {
       const auto span = static_cast<std::uint64_t>(

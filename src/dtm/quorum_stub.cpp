@@ -1,7 +1,6 @@
 #include "src/dtm/quorum_stub.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/common/clock.hpp"
 #include "src/dtm/codec.hpp"
@@ -51,7 +50,7 @@ void QuorumStub::backoff(int attempt) {
   const auto delay = config_.retry.delay(attempt, rng_);
   if (obs::Observability* o = config_.obs)
     o->rpc_busy_backoff_ns.add(static_cast<std::uint64_t>(delay.count()));
-  std::this_thread::sleep_for(delay);
+  precise_sleep_for(delay);
 }
 
 void QuorumStub::retry_ladder(const std::vector<ObjectKey>& blame,

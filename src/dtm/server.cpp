@@ -16,7 +16,11 @@ constexpr std::size_t kMaxRememberedTx = 1 << 16;
 
 Server::Server(net::NodeId id, std::int64_t contention_window_ns,
                std::int64_t prepare_lease_ns)
-    : id_(id), lease_ns_(prepare_lease_ns), contention_(contention_window_ns) {}
+    : id_(id),
+      lease_ns_(prepare_lease_ns),
+      contention_(contention_window_ns),
+      expired_(kMaxRememberedTx),
+      committed_(kMaxRememberedTx) {}
 
 Response Server::handle(net::NodeId /*from*/, const Request& request) {
   expire_stale_leases();
@@ -66,7 +70,7 @@ std::size_t Server::expire_stale_leases() {
           ++it;
           continue;
         }
-        remember(expired_, expired_order_, it->first);
+        expired_.insert(it->first);
         victims.emplace_back(it->first, std::move(it->second));
         it = leases_.erase(it);
       } else {
@@ -128,9 +132,7 @@ void Server::reset_volatile_state() {
   std::lock_guard<std::mutex> guard(lease_mutex_);
   leases_.clear();
   expired_.clear();
-  expired_order_.clear();
   committed_.clear();
-  committed_order_.clear();
   indoubt_.clear();
   next_expiry_ns_.store(UINT64_MAX, std::memory_order_relaxed);
 }
@@ -170,16 +172,6 @@ void Server::record_lease(const OpenPrepare& prepare, std::uint64_t now) {
     }
   } else {
     lease.deadline_ns = UINT64_MAX;
-  }
-}
-
-void Server::remember(std::unordered_set<TxId>& set, std::deque<TxId>& order,
-                      TxId tx) {
-  if (!set.insert(tx).second) return;
-  order.push_back(tx);
-  while (order.size() > kMaxRememberedTx) {
-    set.erase(order.front());
-    order.pop_front();
   }
 }
 
@@ -376,7 +368,7 @@ CommitResponse Server::on_commit(const CommitRequest& req) {
   bool was_indoubt = false;
   {
     std::lock_guard<std::mutex> guard(lease_mutex_);
-    if (expired_.count(req.tx) != 0) {
+    if (expired_.contains(req.tx)) {
       // Presumed abort: the prepare lease ran out and the protections were
       // already released — another transaction may have prepared these keys
       // since.  Installing now could stomp its protected snapshot, so the
@@ -385,8 +377,7 @@ CommitResponse Server::on_commit(const CommitRequest& req) {
       if (obs_ != nullptr) obs_->rpc_commit_rejected.add();
       return CommitResponse{CommitCode::kExpired};
     }
-    replay = committed_.count(req.tx) != 0;
-    if (!replay) remember(committed_, committed_order_, req.tx);
+    replay = !committed_.insert(req.tx);
     leases_.erase(req.tx);
     was_indoubt = indoubt_.erase(req.tx) != 0;
   }
@@ -437,7 +428,7 @@ AbortResponse Server::on_abort(const AbortRequest& req) {
       // A cross-shard abort is remembered: a sibling group's DecisionQuery
       // treats kAborted as authoritative, so the answer must outlive the
       // lease itself.
-      if (it->second.cross_shard()) remember(expired_, expired_order_, req.tx);
+      if (it->second.cross_shard()) expired_.insert(req.tx);
       leases_.erase(it);
     }
     was_indoubt = indoubt_.erase(req.tx) != 0;
@@ -466,11 +457,11 @@ DecisionReply Server::on_decision(const DecisionQuery& req) {
   if (obs_ != nullptr) obs_->indoubt_queries.add();
   DecisionReply res;
   std::lock_guard<std::mutex> guard(lease_mutex_);
-  if (committed_.count(req.tx) != 0) {
+  if (committed_.contains(req.tx)) {
     res.code = DecisionCode::kCommitted;
     return res;
   }
-  if (expired_.count(req.tx) != 0) {
+  if (expired_.contains(req.tx)) {
     res.code = DecisionCode::kAborted;
     return res;
   }

@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,6 +26,7 @@
 
 #include "src/dtm/durability.hpp"
 #include "src/dtm/messages.hpp"
+#include "src/dtm/remembered_set.hpp"
 #include "src/net/network.hpp"
 #include "src/obs/obs.hpp"
 #include "src/store/contention_tracker.hpp"
@@ -153,9 +153,8 @@ class Server {
   std::vector<ObjectKey> failed_checks(const std::vector<VersionCheck>& checks,
                                        TxId self, bool& busy) const;
 
-  // Lease bookkeeping (all require lease_mutex_).
+  // Lease bookkeeping (requires lease_mutex_).
   void record_lease(const OpenPrepare& prepare, std::uint64_t now);
-  void remember(std::unordered_set<TxId>& set, std::deque<TxId>& order, TxId tx);
 
   struct Lease {
     std::vector<ObjectKey> keys;
@@ -185,10 +184,8 @@ class Server {
   // an ancient entry only costs the precise kDuplicate/kExpired verdict for
   // a tx that finished long ago — a replayed apply() is version-guarded and
   // therefore harmless either way.
-  std::unordered_set<TxId> expired_;
-  std::deque<TxId> expired_order_;
-  std::unordered_set<TxId> committed_;
-  std::deque<TxId> committed_order_;
+  RememberedTxSet expired_;
+  RememberedTxSet committed_;
   // Cross-shard leases whose deadline passed: still in leases_ (frozen at
   // deadline UINT64_MAX, protections held) until cooperative termination
   // commits or aborts them.  Unbounded by design — an in-doubt transaction

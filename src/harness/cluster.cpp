@@ -452,6 +452,28 @@ std::size_t Cluster::restart_node(net::NodeId id, CatchUpScope scope) {
   // the sources.
   const std::vector<net::NodeId> sources = catchup_sources(id, scope);
 
+  // A prepare the group committed while this replica was down is still
+  // open here: phase two failed against the down node, the coordinator's
+  // replays may have run out, and without a lease nothing else releases
+  // its keys.  Ask the sources before reading their stores, so a source
+  // that remembers the commit has it in the snapshot taken below.
+  std::vector<dtm::OpenPrepare> committed_elsewhere;
+  for (dtm::OpenPrepare& prepare : joiner.open_prepares()) {
+    dtm::Request query;
+    query.payload = dtm::DecisionQuery{prepare.tx, joiner.group()};
+    for (const net::NodeId src : sources) {
+      if (network_.node_down(src)) continue;
+      const dtm::Response reply =
+          servers_[static_cast<std::size_t>(src)]->handle(id, query);
+      const auto* decision = std::get_if<dtm::DecisionReply>(&reply.payload);
+      if (decision != nullptr &&
+          decision->code == dtm::DecisionCode::kCommitted) {
+        committed_elsewhere.push_back(std::move(prepare));
+        break;
+      }
+    }
+  }
+
   // Gather the newest version of every key across the sources, then install
   // whatever is newer than the local replica.  apply() is version-guarded,
   // so racing against live commit traffic can only lose to newer versions.
@@ -473,6 +495,23 @@ std::size_t Cluster::restart_node(net::NodeId id, CatchUpScope scope) {
     if (local.has_value() && *local >= rec.version) continue;
     joiner.store().apply(key, rec.value, rec.version, store::kNoTx);
     ++updated;
+  }
+
+  // Finish those commits locally with the versions just installed (apply()
+  // keeps the newer one): this releases the lease and the protections and
+  // records the commit, so a late phase-two replay acks kDuplicate.
+  for (const dtm::OpenPrepare& prepare : committed_elsewhere) {
+    dtm::CommitRequest commit{prepare.tx, prepare.keys, {}, {}, joiner.group()};
+    for (const auto& key : prepare.keys) {
+      const auto it = newest.find(key);
+      if (it == newest.end()) break;
+      commit.values.push_back(it->second.value);
+      commit.versions.push_back(it->second.version);
+    }
+    if (commit.values.size() != commit.keys.size()) continue;
+    dtm::Request request;
+    request.payload = std::move(commit);
+    joiner.handle(id, request);
   }
 
   network_.set_node_down(id, false);

@@ -248,7 +248,9 @@ class Cluster {
   /// lost (at most one group-commit window).  Volatile nodes run the full
   /// peer sync as before.  The scope picks the peers: a read quorum
   /// suffices by the intersection property; kAllReplicas is exhaustive.
-  /// Returns the number of keys whose version advanced during the sync.
+  /// An open prepare on the node that a peer remembers committing is then
+  /// finished as that commit.  Returns the number of keys whose version
+  /// advanced during the sync.
   std::size_t restart_node(net::NodeId id,
                            CatchUpScope scope = CatchUpScope::kReadQuorum);
 

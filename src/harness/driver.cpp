@@ -57,6 +57,13 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
   const std::uint64_t wire_recv0 = wire.bytes_recv.load();
   const std::uint64_t wire_reconnects0 = wire.reconnects.load();
   const std::uint64_t wire_corrupt0 = wire.frames_corrupt.load();
+  // Simulated-delay baseline (sim mode only), folded in the same way.
+  const net::NetStats* const sim_net =
+      cluster.remote() ? nullptr : &cluster.network().stats();
+  const std::uint64_t delay_rounds0 = sim_net ? sim_net->delay_rounds() : 0;
+  const std::uint64_t delay_requested0 =
+      sim_net ? sim_net->delay_requested_ns() : 0;
+  const std::uint64_t delay_actual0 = sim_net ? sim_net->delay_actual_ns() : 0;
   if (obs) {
     metrics_before = obs->metrics.snapshot();
     cluster.set_obs(obs);
@@ -182,8 +189,7 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
               stats.full_aborts + stats.partial_aborts;
           aborts.add(interval, aborts_now - aborts_seen);
           aborts_seen = aborts_now;
-          if (config.think_time.count() > 0)
-            std::this_thread::sleep_for(config.think_time);
+          precise_sleep_for(config.think_time);
         }
       } catch (const std::exception& e) {
         thread_errors[t] = e.what();
@@ -249,6 +255,12 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
     obs->transport_reconnects.add(wire.reconnects.load() - wire_reconnects0);
     obs->transport_frames_corrupt.add(wire.frames_corrupt.load() -
                                       wire_corrupt0);
+    if (sim_net) {
+      obs->net_delay_rounds.add(sim_net->delay_rounds() - delay_rounds0);
+      obs->net_delay_requested_ns.add(sim_net->delay_requested_ns() -
+                                      delay_requested0);
+      obs->net_delay_actual_ns.add(sim_net->delay_actual_ns() - delay_actual0);
+    }
     result.metrics = obs->metrics.snapshot().since(metrics_before);
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -49,7 +48,7 @@ struct BoundedCaller {
       if (attempt >= options.retry.max_retries ||
           (deadline_ns > 0 && watch.elapsed_ns() >= deadline_ns))
         return false;
-      std::this_thread::sleep_for(options.retry.delay(attempt, rng));
+      precise_sleep_for(options.retry.delay(attempt, rng));
     }
   }
 
@@ -71,7 +70,7 @@ struct BoundedCaller {
       if (pending.empty() || attempt >= options.retry.max_retries ||
           (deadline_ns > 0 && watch.elapsed_ns() >= deadline_ns))
         return;
-      std::this_thread::sleep_for(options.retry.delay(attempt, rng));
+      precise_sleep_for(options.retry.delay(attempt, rng));
     }
   }
 };

@@ -70,6 +70,16 @@ void print_metrics(const char* label, const obs::Snapshot& snapshot) {
                 static_cast<unsigned long long>(c("transport.bytes.recv")),
                 static_cast<unsigned long long>(c("transport.reconnects")),
                 static_cast<unsigned long long>(c("transport.frames.corrupt")));
+  if (const auto rounds = static_cast<double>(c("net.delay.rounds"));
+      rounds > 0) {
+    // Mean requested and actual wait per round; fidelity = actual/requested.
+    const auto requested = static_cast<double>(c("net.delay.requested_ns"));
+    const auto actual = static_cast<double>(c("net.delay.actual_ns"));
+    std::printf("%-8s obs: net{delay_rounds=%.0f requested=%.1fus "
+                "actual=%.1fus fidelity=%.2f}\n",
+                "", rounds, requested / rounds / 1000.0,
+                actual / rounds / 1000.0, actual / requested);
+  }
   if (c("acn.adaptations") > 0)
     std::printf("%-8s obs: acn{adaptations=%llu recompositions=%llu "
                 "monitor_refreshes=%llu monitor_observes=%llu}\n",

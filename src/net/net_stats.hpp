@@ -23,6 +23,13 @@ class NetStats {
   void on_partitioned() noexcept {
     partitioned_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// One round that injected delay: it asked to wait `requested_ns` past
+  /// its start and woke `actual_ns` after it.
+  void on_delay(std::uint64_t requested_ns, std::uint64_t actual_ns) noexcept {
+    delay_rounds_.fetch_add(1, std::memory_order_relaxed);
+    delay_requested_ns_.fetch_add(requested_ns, std::memory_order_relaxed);
+    delay_actual_ns_.fetch_add(actual_ns, std::memory_order_relaxed);
+  }
 
   std::uint64_t messages() const noexcept {
     return messages_.load(std::memory_order_relaxed);
@@ -44,6 +51,20 @@ class NetStats {
   std::uint64_t partitioned() const noexcept {
     return partitioned_.load(std::memory_order_relaxed);
   }
+  /// Rounds (call or multicall) that injected delay.  Zero-latency rounds
+  /// never sleep and are not counted.
+  std::uint64_t delay_rounds() const noexcept {
+    return delay_rounds_.load(std::memory_order_relaxed);
+  }
+  /// Sum over those rounds of deadline - start: what the latency model and
+  /// the handlers asked for.
+  std::uint64_t delay_requested_ns() const noexcept {
+    return delay_requested_ns_.load(std::memory_order_relaxed);
+  }
+  /// Sum over those rounds of wake-up - start: what the caller waited.
+  std::uint64_t delay_actual_ns() const noexcept {
+    return delay_actual_ns_.load(std::memory_order_relaxed);
+  }
 
   void reset() noexcept;
   std::string summary() const;
@@ -55,6 +76,9 @@ class NetStats {
   std::atomic<std::uint64_t> response_drops_{0};
   std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> partitioned_{0};
+  std::atomic<std::uint64_t> delay_rounds_{0};
+  std::atomic<std::uint64_t> delay_requested_ns_{0};
+  std::atomic<std::uint64_t> delay_actual_ns_{0};
 };
 
 }  // namespace acn::net

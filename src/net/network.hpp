@@ -4,29 +4,47 @@
 // passive, thread-safe request handlers and client threads issue RPCs through
 // a Network<Request, Response> instance.  The network
 //   * injects one-way latency from a pluggable LatencyModel on the request
-//     and the response leg (client threads sleep, so concurrent requests
-//     overlap exactly like real in-flight messages);
-//   * supports quorum "multicalls" that contact several nodes concurrently —
-//     the caller pays the *maximum* round-trip once, matching a client that
-//     fires all requests and waits for the slowest reply;
+//     and the response leg;
+//   * runs every RPC as a *round*: call() is a round with one target,
+//     multicall() a quorum round that contacts several nodes concurrently;
 //   * accounts messages and bytes (requests/responses expose approx_size());
 //   * injects faults: a node can be marked down, messages can be dropped
 //     with a global probability, and — layered on top — per-link drop
 //     probability / extra latency and symmetric partition groups.
 //
+// Round timing.  A round starts at t0, runs each reachable target's handler
+// inline at send, and then waits once, until the absolute deadline
+//
+//     t0 + max over delivered targets of (request leg + that target's own
+//                                         handler time + reply leg),
+//
+// which is when the slowest reply of replicas answering in parallel would
+// arrive (the TCP transport's replicas do answer in parallel).  The caller
+// pays the slowest round trip once, never the sum.  Handler time counts
+// only for targets with a delayed leg, and a round whose delivered legs
+// are all zero never sleeps.  The wait goes through acn::precise_sleep_until
+// (src/common/clock.hpp), which drops the calling thread's timer slack to
+// 1 ns on first use: Linux's default 50 us slack would stretch a 25 us leg
+// to about 80 us.  NetStats counts the rounds that inject delay with their
+// requested (deadline - t0) and actual (wake-up - t0) waits, so every run
+// can report how faithful its latency was.
+//
 // Fault model details:
 //   * Drops are rolled independently on the request AND the response leg.
 //     A response-leg drop surfaces as kDropped to the caller even though
 //     the handler executed — the lost-ack hazard two-phase commit must
-//     survive (see src/dtm prepare leases).
+//     survive (see src/dtm prepare leases).  The caller still waits out the
+//     round trip of a lost reply; a request-leg drop, a down node or a
+//     partition fails fast and adds nothing to the round's deadline.
 //   * A partition splits nodes into groups; messages cross groups only by
 //     failing with kPartitioned.  Nodes not named in any group (typically
 //     clients) belong to the first group, so `{{}, {8, 9}}` isolates nodes
 //     8 and 9 from the clients and the rest of the cluster.
 //
-// Handlers execute on the calling thread.  This keeps the simulation
-// deterministic under a fixed seed and free of cross-thread queue latency
-// noise, while preserving real mutual exclusion inside the server objects.
+// Handlers execute on the calling thread, in target order.  This keeps the
+// simulation deterministic under a fixed seed and free of cross-thread
+// queue latency noise, while preserving real mutual exclusion inside the
+// server objects.
 //
 // Re-entrancy contract: a request handler must NOT issue nested call() /
 // multicall() invocations.  On this simulated network a nested call would
@@ -47,10 +65,10 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/clock.hpp"
 #include "src/common/latency_model.hpp"
 #include "src/common/rng.hpp"
 #include "src/net/net_stats.hpp"
@@ -201,103 +219,33 @@ class Network {
     return partitioned_;
   }
 
-  /// Synchronous RPC from `from` to `to`.  Sleeps for request + response
-  /// latency, then invokes the handler inline.
+  /// Synchronous RPC from `from` to `to`: a round with one target.
   CallResult<Res> call(NodeId from, NodeId to, const Req& req) {
     require_not_in_handler("call");
+    Round round;
     CallResult<Res> out;
-    const std::size_t req_bytes = req.approx_size();
-    if (!deliverable(to)) {
-      out.error = NetErrorCode::kNodeDown;
-      stats_.on_refused();
-      return out;
-    }
-    if (partition_blocked(from, to)) {
-      out.error = NetErrorCode::kPartitioned;
-      stats_.on_partitioned();
-      return out;
-    }
-    if (maybe_drop(from, to)) {
-      out.error = NetErrorCode::kDropped;
-      stats_.on_drop();
-      return out;
-    }
-    stats_.on_message(req_bytes);
-    const Nanos fwd = latency_->delay(from, to, req_bytes) + leg_extra(from, to);
-    sleep_for(fwd);
-    out.response = nodes_[static_cast<std::size_t>(to)].handler(from, req);
-    const std::size_t res_bytes = out.response.approx_size();
-    const Nanos back =
-        latency_->delay(to, from, res_bytes) + leg_extra(to, from);
-    if (maybe_drop(to, from)) {
-      // Lost ack: the handler already ran, only the response vanished.  The
-      // caller still pays the round trip (it waited for a reply that never
-      // came) and must treat the outcome as unknown.
-      out.error = NetErrorCode::kDropped;
-      out.response = Res{};
-      stats_.on_response_drop();
-      sleep_for(back);
-      return out;
-    }
-    stats_.on_message(res_bytes);
-    sleep_for(back);
+    send(round, from, to, [&]() -> const Req& { return req; }, out);
+    finish(round);
     return out;
   }
 
   /// Concurrent RPC to all `targets`.  `make_req(target)` builds the
-  /// per-target request.  The caller sleeps once for the slowest round trip
-  /// and handlers run inline in target order; results align with `targets`.
+  /// per-target request (it may return a reference to a shared one).
+  /// Handlers run inline in target order and the caller waits once, for
+  /// the slowest round trip; results align with `targets`.
   template <class MakeReq>
   std::vector<CallResult<Res>> multicall(NodeId from,
                                          const std::vector<NodeId>& targets,
                                          MakeReq&& make_req) {
     require_not_in_handler("multicall");
+    Round round;
     std::vector<CallResult<Res>> out(targets.size());
-    std::vector<Nanos> fwd(targets.size(), Nanos{0});
-    Nanos worst{0};
-
-    // Dispatch phase: every reachable target's handler runs inline.
     for (std::size_t i = 0; i < targets.size(); ++i) {
       const NodeId to = targets[i];
-      if (!deliverable(to)) {
-        out[i].error = NetErrorCode::kNodeDown;
-        stats_.on_refused();
-        continue;
-      }
-      if (partition_blocked(from, to)) {
-        out[i].error = NetErrorCode::kPartitioned;
-        stats_.on_partitioned();
-        continue;
-      }
-      if (maybe_drop(from, to)) {
-        out[i].error = NetErrorCode::kDropped;
-        stats_.on_drop();
-        continue;
-      }
-      Req req = make_req(to);
-      const std::size_t req_bytes = req.approx_size();
-      stats_.on_message(req_bytes);
-      fwd[i] = latency_->delay(from, to, req_bytes) + leg_extra(from, to);
-      out[i].response = nodes_[static_cast<std::size_t>(to)].handler(from, req);
+      send(round, from, to, [&]() -> decltype(auto) { return make_req(to); },
+           out[i]);
     }
-
-    // Gather phase.
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (out[i].error != NetErrorCode::kOk) continue;
-      const std::size_t res_bytes = out[i].response.approx_size();
-      const Nanos back =
-          latency_->delay(targets[i], from, res_bytes) + leg_extra(targets[i], from);
-      worst = std::max(worst, fwd[i] + back);
-      if (maybe_drop(targets[i], from)) {
-        // Lost ack: handler side effects stand, the reply is gone.
-        out[i].error = NetErrorCode::kDropped;
-        out[i].response = Res{};
-        stats_.on_response_drop();
-        continue;
-      }
-      stats_.on_message(res_bytes);
-    }
-    sleep_for(worst);
+    finish(round);
     return out;
   }
 
@@ -306,6 +254,81 @@ class Network {
   const LatencyModel& latency_model() const noexcept { return *latency_; }
 
  private:
+  using Clock = SteadyClock;
+
+  /// One RPC round: when it started, and when its slowest reply so far
+  /// arrives, measured from that start (see the header comment).
+  struct Round {
+    Clock::time_point t0 = Clock::now();
+    Nanos slowest{0};  // stays 0 unless a delivered target has a delayed leg
+  };
+
+  /// Deliver one request of `round`: fault checks, the handler (inline, at
+  /// send), the reply leg's fate, and the target's arrival time.
+  /// `build()` makes the request only once the target is reachable.
+  template <class Build>
+  void send(Round& round, NodeId from, NodeId to, Build&& build,
+            CallResult<Res>& out) {
+    if (!deliverable(to)) {
+      out.error = NetErrorCode::kNodeDown;
+      stats_.on_refused();
+      return;
+    }
+    if (partition_blocked(from, to)) {
+      out.error = NetErrorCode::kPartitioned;
+      stats_.on_partitioned();
+      return;
+    }
+    if (maybe_drop(from, to)) {
+      out.error = NetErrorCode::kDropped;
+      stats_.on_drop();
+      return;
+    }
+    decltype(auto) req = build();
+    const std::size_t req_bytes = req.approx_size();
+    stats_.on_message(req_bytes);
+    const Nanos fwd = latency_->delay(from, to, req_bytes) + leg_extra(from, to);
+    const Nanos back_extra = leg_extra(to, from);
+    Node& node = nodes_[static_cast<std::size_t>(to)];
+    Nanos handler_time{0};
+    if (fwd + back_extra > Nanos{0}) {
+      const auto start = Clock::now();
+      out.response = node.handler(from, req);
+      handler_time = Clock::now() - start;
+    } else {
+      out.response = node.handler(from, req);
+    }
+    const std::size_t res_bytes = out.response.approx_size();
+    const Nanos back = latency_->delay(to, from, res_bytes) + back_extra;
+    if (fwd + back > Nanos{0})
+      round.slowest = std::max(round.slowest, fwd + handler_time + back);
+    if (maybe_drop(to, from)) {
+      // Lost ack: the handler already ran, only the response vanished.  The
+      // caller still waits for a reply that never comes and must treat the
+      // outcome as unknown.
+      out.error = NetErrorCode::kDropped;
+      out.response = Res{};
+      stats_.on_response_drop();
+      return;
+    }
+    stats_.on_message(res_bytes);
+  }
+
+  /// Wait until the round's deadline, once, and count the wait.
+  void finish(const Round& round) {
+    if (round.slowest == Nanos{0}) return;
+    const auto deadline = round.t0 + round.slowest;
+    auto wake = Clock::now();
+    if (wake < deadline) {
+      precise_sleep_until(deadline);
+      wake = Clock::now();
+    }
+    stats_.on_delay(static_cast<std::uint64_t>(round.slowest.count()),
+                    static_cast<std::uint64_t>(
+                        std::chrono::duration_cast<Nanos>(wake - round.t0)
+                            .count()));
+  }
+
   struct Node {
     Handler handler;
     std::atomic<bool> down{true};
@@ -406,10 +429,6 @@ class Network {
       return Rng(splitmix64(stream));
     }();
     return rng;
-  }
-
-  static void sleep_for(Nanos d) {
-    if (d > Nanos{0}) std::this_thread::sleep_for(d);
   }
 
   std::shared_ptr<const LatencyModel> latency_;

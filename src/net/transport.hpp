@@ -119,7 +119,8 @@ class SimTransport final : public Transport<Req, Res> {
   std::vector<CallResult<Res>> multicall(NodeId from,
                                          const std::vector<NodeId>& targets,
                                          const Req& req) override {
-    auto out = network_.multicall(from, targets, [&](NodeId) { return req; });
+    auto out = network_.multicall(from, targets,
+                                  [&](NodeId) -> const Req& { return req; });
     for (const auto& r : out) account(req, r);
     return out;
   }

@@ -73,6 +73,9 @@ Observability::Observability(ObsConfig config)
       transport_bytes_recv(metrics.counter("transport.bytes.recv")),
       transport_reconnects(metrics.counter("transport.reconnects")),
       transport_frames_corrupt(metrics.counter("transport.frames.corrupt")),
+      net_delay_rounds(metrics.counter("net.delay.rounds")),
+      net_delay_requested_ns(metrics.counter("net.delay.requested_ns")),
+      net_delay_actual_ns(metrics.counter("net.delay.actual_ns")),
       wal_append_bytes(metrics.counter("wal.append.bytes")),
       wal_fsync_count(metrics.counter("wal.fsync.count")),
       wal_replay_records(metrics.counter("wal.replay.records")),

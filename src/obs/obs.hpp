@@ -89,6 +89,12 @@ class Observability {
   MetricsRegistry::Counter transport_bytes_recv;
   MetricsRegistry::Counter transport_reconnects;
   MetricsRegistry::Counter transport_frames_corrupt;
+  /// Simulated-delay fidelity (sim transport only; the driver folds in the
+  /// per-run delta of net::NetStats): rounds that injected delay, and the
+  /// sums of their requested and actual waits.
+  MetricsRegistry::Counter net_delay_rounds;
+  MetricsRegistry::Counter net_delay_requested_ns;
+  MetricsRegistry::Counter net_delay_actual_ns;
 
   // -- durability: WAL, snapshots, log-replay recovery (src/wal, harness) --
   MetricsRegistry::Counter wal_append_bytes;      // framed bytes logged

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/clock.hpp"
+#include "src/common/retry_policy.hpp"
+
 namespace acn::queue {
 namespace {
 
@@ -90,6 +93,7 @@ shard::LaneOutcome EpochService::submit(const ir::TxProgram& program,
 }
 
 void EpochService::planner_loop() {
+  tighten_timer_slack();  // epoch_wait is a timed wait of ~200 us
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     submit_cv_.wait(lock, [&] {
@@ -178,6 +182,7 @@ void EpochService::execute(const EpochPlan& plan,
 }
 
 void EpochService::executor_loop() {
+  tighten_timer_slack();
   std::unique_lock<std::mutex> lock(epoch_mu_);
   for (;;) {
     work_cv_.wait(lock, [&] {
@@ -220,6 +225,9 @@ void EpochService::run_one_epoch(std::vector<Submission*>& batch) {
     obs_->queue_epoch_size.observe(batch.size());
   }
 
+  // Epoch re-runs back off deterministically: no jitter, 4 doublings.
+  const RetryPolicy retry{.base = config_.retry_backoff, .max_doublings = 4,
+                          .jitter = 0.0};
   bool epoch_decided = false;
   int retries_used = 0;
   for (int attempt = 0; attempt <= config_.max_epoch_retries; ++attempt) {
@@ -258,9 +266,7 @@ void EpochService::run_one_epoch(std::vector<Submission*>& batch) {
       if (obs_) obs_->queue_epoch_retries.add();
       for (Submission* s : batch) ++s->epoch_retries;
       if (attempt >= config_.max_epoch_retries) break;
-      const auto base = config_.retry_backoff.count();
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds{base << std::min(attempt, 4)});
+      precise_sleep_for(retry.delay(attempt));
     }
   }
 

@@ -1,25 +1,50 @@
 #include "src/shard/decision_log.hpp"
 
+#include <filesystem>
+#include <span>
+
 #include "src/dtm/codec.hpp"
 #include "src/wal/format.hpp"
 
 namespace acn::shard {
 namespace {
 
-std::uint32_t read_u32(const std::vector<std::uint8_t>& bytes,
-                       std::size_t& pos) {
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    v |= static_cast<std::uint32_t>(bytes[pos++]) << shift;
-  return v;
+// A record's payload on disk: [u64 tx][u8 decision] followed by the entry's
+// pushes bytes, each push [u32 length][wire-encoded CommitRequest].
+constexpr std::size_t kRecordHeaderBytes = 8 + 1;
+
+std::vector<std::uint8_t> encode_pushes(
+    std::vector<dtm::CommitRequest> pushes) {
+  std::vector<std::uint8_t> out;
+  for (auto& push : pushes) {
+    dtm::Request request;
+    request.payload = std::move(push);
+    const auto bytes = dtm::encode(request);
+    dtm::Encoder len;
+    len.u32(static_cast<std::uint32_t>(bytes.size()));
+    const auto len_bytes = len.take();
+    out.insert(out.end(), len_bytes.begin(), len_bytes.end());
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  out.shrink_to_fit();  // one exact allocation stays with the record
+  return out;
 }
 
-std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes,
-                       std::size_t& pos) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8)
-    v |= static_cast<std::uint64_t>(bytes[pos++]) << shift;
-  return v;
+/// Calls `each(CommitRequest&&)` for every push in `bytes` until it returns
+/// true.  Throws dtm::CodecError on a malformed list.
+template <class Fn>
+void for_each_push(std::span<const std::uint8_t> bytes, Fn&& each) {
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    const std::uint32_t len = dtm::Decoder(bytes.subspan(pos)).u32();
+    pos += 4;
+    if (len > bytes.size() - pos) throw dtm::CodecError("truncated push");
+    auto request = dtm::decode_request(bytes.subspan(pos, len));
+    pos += len;
+    auto* push = std::get_if<dtm::CommitRequest>(&request.payload);
+    if (push == nullptr) throw dtm::CodecError("push is not a commit");
+    if (each(std::move(*push))) return;
+  }
 }
 
 }  // namespace
@@ -51,68 +76,64 @@ void DecisionLog::replay_locked() {
   // replay (the decision it held was never acknowledged as recorded, so no
   // phase-two message depended on it).
   const wal::SegmentScan scan = wal::parse_segment(bytes);
+  // Cut the torn tail off, or records appended after it would be lost to
+  // the next replay, which stops at the first bad frame.
+  if (scan.torn) std::filesystem::resize_file(path_, scan.valid_bytes);
   for (const auto& record : scan.records) {
+    if (record.size() < kRecordHeaderBytes) continue;
+    const std::span<const std::uint8_t> pushes =
+        std::span<const std::uint8_t>(record).subspan(kRecordHeaderBytes);
     try {
-      std::size_t pos = 0;
-      if (record.size() < 8 + 1 + 4) continue;
-      Entry entry;
-      const dtm::TxId tx = read_u64(record, pos);
-      entry.decision = static_cast<Decision>(record[pos++]);
-      const std::uint32_t n_pushes = read_u32(record, pos);
-      entry.pushes.reserve(n_pushes);
-      bool ok = true;
-      for (std::uint32_t i = 0; i < n_pushes; ++i) {
-        if (pos + 4 > record.size()) { ok = false; break; }
-        const std::uint32_t len = read_u32(record, pos);
-        if (pos + len > record.size()) { ok = false; break; }
-        const auto request = dtm::decode_request(
-            std::span<const std::uint8_t>(record.data() + pos, len));
-        pos += len;
-        const auto* push = std::get_if<dtm::CommitRequest>(&request.payload);
-        if (push == nullptr) { ok = false; break; }
-        entry.pushes.push_back(*push);
-      }
-      if (ok) entries_[tx] = std::move(entry);
+      for_each_push(pushes, [](dtm::CommitRequest&&) { return false; });
     } catch (const dtm::CodecError&) {
       // Skip an undecodable record; the framing CRC already passed, so this
       // only happens across format changes — losing one record degrades to
       // the unreachable-coordinator path, never to a wrong answer.
+      continue;
     }
+    dtm::Decoder header(record);
+    const dtm::TxId tx = header.u64();
+    Entry entry;
+    entry.decision = static_cast<Decision>(header.u8());
+    entry.pushes.assign(pushes.begin(), pushes.end());
+    entries_[tx] = std::move(entry);
   }
 }
 
 void DecisionLog::append_locked(dtm::TxId tx, const Entry& entry) {
   if (file_ == nullptr) return;
-  dtm::Encoder e;
-  e.u64(tx);
-  e.u8(static_cast<std::uint8_t>(entry.decision));
-  e.u32(static_cast<std::uint32_t>(entry.pushes.size()));
-  std::vector<std::uint8_t> payload = e.take();
-  for (const auto& push : entry.pushes) {
-    dtm::Request request;
-    request.payload = push;
-    const auto bytes = dtm::encode(request);
-    dtm::Encoder len;
-    len.u32(static_cast<std::uint32_t>(bytes.size()));
-    const auto len_bytes = len.take();
-    payload.insert(payload.end(), len_bytes.begin(), len_bytes.end());
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
-  }
+  dtm::Encoder header;
+  header.u64(tx);
+  header.u8(static_cast<std::uint8_t>(entry.decision));
+  std::vector<std::uint8_t> payload = header.take();
+  payload.insert(payload.end(), entry.pushes.begin(), entry.pushes.end());
   std::vector<std::uint8_t> framed;
   wal::frame_record(framed, payload);
   std::fwrite(framed.data(), 1, framed.size(), file_);
   std::fflush(file_);
 }
 
+std::optional<dtm::CommitRequest> DecisionLog::find_push(const Entry& entry,
+                                                         std::uint32_t group) {
+  std::optional<dtm::CommitRequest> found;
+  for_each_push(entry.pushes, [&](dtm::CommitRequest&& push) {
+    if (push.group != group) return false;
+    found = std::move(push);
+    return true;
+  });
+  return found;
+}
+
 bool DecisionLog::record_commit(dtm::TxId tx,
                                 std::vector<dtm::CommitRequest> pushes) {
+  std::vector<std::uint8_t> encoded = encode_pushes(std::move(pushes));
   std::lock_guard<std::mutex> guard(mutex_);
   const auto it = entries_.find(tx);
   if (it != entries_.end() && it->second.decision == Decision::kAbort)
     return false;  // sealed: presumed abort was already served or recorded
   Entry& entry = entries_[tx];
   entry.decision = Decision::kCommit;
-  entry.pushes = std::move(pushes);
+  entry.pushes = std::move(encoded);
   append_locked(tx, entry);
   return true;
 }
@@ -124,7 +145,7 @@ void DecisionLog::record_abort(dtm::TxId tx) {
   // racing a resolver) must not flip an already-announced commit.
   if (entry.decision == Decision::kCommit && !entry.pushes.empty()) return;
   entry.decision = Decision::kAbort;
-  entry.pushes.clear();
+  entry.pushes = {};
   append_locked(tx, entry);
 }
 
@@ -141,9 +162,7 @@ std::optional<dtm::CommitRequest> DecisionLog::push_for(
   const auto it = entries_.find(tx);
   if (it == entries_.end() || it->second.decision != Decision::kCommit)
     return std::nullopt;
-  for (const auto& push : it->second.pushes)
-    if (push.group == group) return push;
-  return std::nullopt;
+  return find_push(it->second, group);
 }
 
 dtm::DecisionReply DecisionLog::answer(const dtm::DecisionQuery& query) {
@@ -163,12 +182,10 @@ dtm::DecisionReply DecisionLog::answer(const dtm::DecisionQuery& query) {
     return reply;
   }
   reply.code = dtm::DecisionCode::kCommitted;
-  for (const auto& push : it->second.pushes) {
-    if (push.group != query.group) continue;
-    reply.keys = push.keys;
-    reply.values = push.values;
-    reply.versions = push.versions;
-    break;
+  if (auto push = find_push(it->second, query.group)) {
+    reply.keys = std::move(push->keys);
+    reply.values = std::move(push->values);
+    reply.versions = std::move(push->versions);
   }
   return reply;
 }

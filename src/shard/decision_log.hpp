@@ -13,8 +13,14 @@
 //     handler holds the log by shared_ptr), modelling a coordinator whose
 //     process is alive but whose transaction handle is long gone;
 //   * durable mode: each record is additionally appended to a WAL-framed
-//     file (src/wal frame format, dtm codec payloads) and replayed on
-//     construction, modelling a coordinator that restarts from disk.
+//     file (src/wal frame format) and replayed on construction, modelling
+//     a coordinator that restarts from disk.
+//
+// Both modes keep a commit record's pushes in one representation: the
+// bytes the file carries, each push a length-prefixed wire-encoded
+// CommitRequest, in one allocation per record.  The log keeps every
+// decision, so its size grows with cross-shard commits; pushes are decoded
+// only on the rare in-doubt path (push_for, answer).
 //
 // A coordinator registers a DecisionQuery handler on its client node that
 // answers from this log, so in-doubt participants (and the harness
@@ -47,7 +53,7 @@ class DecisionLog {
  public:
   /// `path`: append-only decision file; empty keeps the records in memory
   /// only.  An existing file is replayed (torn tails dropped, same rules as
-  /// WAL segments).
+  /// WAL segments) and a torn tail is cut off before new records follow.
   explicit DecisionLog(std::string path = {});
   ~DecisionLog();
 
@@ -85,9 +91,13 @@ class DecisionLog {
  private:
   struct Entry {
     Decision decision = Decision::kAbort;
-    std::vector<dtm::CommitRequest> pushes;
+    /// Commit decisions: every push as [u32 length][encoded CommitRequest].
+    std::vector<std::uint8_t> pushes;
   };
 
+  /// The stored push for `group` in `entry`, decoded.
+  static std::optional<dtm::CommitRequest> find_push(const Entry& entry,
+                                                     std::uint32_t group);
   void append_locked(dtm::TxId tx, const Entry& entry);
   void replay_locked();
 

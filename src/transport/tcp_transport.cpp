@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/common/clock.hpp"
 #include "src/common/rng.hpp"
 #include "src/transport/frame.hpp"
 
@@ -698,7 +699,7 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
     slots[i] = impl_->submit(*peer, id, payload, response_drop);
   }
 
-  if (extra_total > Nanos{0}) std::this_thread::sleep_for(extra_total);
+  precise_sleep_for(extra_total);
 
   const auto deadline = Clock::now() + impl_->config.call_timeout;
   for (std::size_t i = 0; i < targets.size(); ++i) {

@@ -210,6 +210,34 @@ TEST(Recovery, CrashRejoinCatchesUpFromReadQuorum) {
   EXPECT_EQ(cluster.restart_node(9, CatchUpScope::kAllReplicas), 0u);
 }
 
+TEST(Recovery, RejoinFinishesAPrepareItsGroupCommittedWhileItWasDown) {
+  Cluster cluster(fast_config());  // no prepare lease: nothing expires
+  workloads::seed_all(cluster.servers(), kA, Record{0});
+
+  // Every replica prepares; node 9 crashes before phase two reaches it.
+  const dtm::TxId tx = 77;
+  dtm::Request request;
+  request.payload = dtm::PrepareRequest{tx, {}, {kA}};
+  for (dtm::Server* server : cluster.servers()) server->handle(100, request);
+  cluster.crash_node(9);
+  request.payload = dtm::CommitRequest{tx, {kA}, {Record{5}}, {2}};
+  for (std::size_t i = 0; i < 9; ++i) cluster.server(i).handle(100, request);
+  EXPECT_EQ(cluster.server(9).open_lease_count(), 1u);
+
+  cluster.restart_node(9);
+  dtm::Server& rejoined = cluster.server(9);
+  EXPECT_EQ(rejoined.open_lease_count(), 0u);
+  EXPECT_EQ(rejoined.store().protected_count(), 0u);
+  const auto local = rejoined.store().read(kA);
+  EXPECT_EQ(local.status, store::ReadStatus::kOk);
+  EXPECT_EQ(local.record.value, Record{5});
+  EXPECT_EQ(local.record.version, 2u);
+  // The coordinator's late replay is acknowledged as a duplicate.
+  const auto replay = rejoined.handle(100, request);
+  EXPECT_EQ(std::get<dtm::CommitResponse>(replay.payload).code,
+            dtm::CommitCode::kDuplicate);
+}
+
 TEST(Recovery, RestartUnknownNodeThrows) {
   Cluster cluster(fast_config(4));
   EXPECT_THROW(cluster.restart_node(99), std::invalid_argument);

@@ -3,6 +3,11 @@
 // injection and contention plumbing — at the stub/server level.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <unordered_map>
+
+#include "src/common/rng.hpp"
+#include "src/dtm/remembered_set.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/workloads/workload.hpp"
 
@@ -349,6 +354,117 @@ TEST(Messages, ApproxSizesScaleWithPayload) {
   Request request;
   request.payload = small;
   EXPECT_EQ(request.approx_size(), small.approx_size());
+}
+
+// Reference model of RememberedTxSet: a FIFO of insertion events capped at
+// `cap`; evicting an event forgets its id only if that event is the id's
+// latest insertion and the id was not erased since.
+class ReferenceTxSet {
+ public:
+  explicit ReferenceTxSet(std::size_t cap) : cap_(cap) {}
+
+  bool insert(TxId tx) {
+    if (live_.count(tx) != 0) return false;
+    events_.push_back({tx, ++seq_});
+    live_[tx] = seq_;
+    if (events_.size() > cap_) {
+      const auto [old, seq] = events_.front();
+      events_.pop_front();
+      const auto it = live_.find(old);
+      if (it != live_.end() && it->second == seq) live_.erase(it);
+    }
+    return true;
+  }
+  bool erase(TxId tx) { return live_.erase(tx) != 0; }
+  bool contains(TxId tx) const { return live_.count(tx) != 0; }
+  std::size_t size() const { return live_.size(); }
+
+ private:
+  std::size_t cap_;
+  std::uint64_t seq_ = 0;
+  std::deque<std::pair<TxId, std::uint64_t>> events_;
+  std::unordered_map<TxId, std::uint64_t> live_;
+};
+
+TEST(RememberedTxSet, MatchesReferenceModelOnRandomOperations) {
+  for (const std::size_t cap : {1u, 2u, 16u, 64u, 1024u}) {
+    RememberedTxSet set(cap);
+    ReferenceTxSet model(cap);
+    Rng rng(cap);
+    // Ids from a range a few times the cap: re-inserts, erases of live and
+    // forgotten ids, and evictions of stale events all happen often.
+    const std::uint64_t id_range = 4 * cap + 3;
+    for (int op = 0; op < 200'000; ++op) {
+      const TxId tx = rng.uniform(0, id_range);
+      const std::uint64_t dice = rng.uniform(0, 9);
+      if (dice < 5)
+        ASSERT_EQ(set.insert(tx), model.insert(tx)) << "cap " << cap;
+      else if (dice < 7)
+        ASSERT_EQ(set.erase(tx), model.erase(tx)) << "cap " << cap;
+      else
+        ASSERT_EQ(set.contains(tx), model.contains(tx)) << "cap " << cap;
+      ASSERT_EQ(set.size(), model.size()) << "cap " << cap;
+    }
+    for (TxId tx = 0; tx <= id_range; ++tx)
+      ASSERT_EQ(set.contains(tx), model.contains(tx)) << "cap " << cap;
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_FALSE(set.contains(1));
+  }
+}
+
+TEST(RememberedTxSet, EvictingAStaleInsertionKeepsTheReinsertedId) {
+  constexpr std::size_t kCap = 64;
+  RememberedTxSet set(kCap);
+  ASSERT_TRUE(set.insert(7));
+  ASSERT_TRUE(set.erase(7));
+  ASSERT_TRUE(set.insert(7));
+  for (TxId tx = 1000; tx < 1000 + kCap - 1; ++tx) ASSERT_TRUE(set.insert(tx));
+  EXPECT_TRUE(set.contains(7));
+  ASSERT_TRUE(set.insert(5000));  // evicts the re-insertion of 7
+  EXPECT_FALSE(set.contains(7));
+}
+
+TEST(RememberedTxSet, CostsAtMost24BytesPerIdWhenFull) {
+  constexpr std::size_t kCap = 1 << 16;
+  RememberedTxSet set(kCap);
+  for (TxId tx = 1; tx <= 2 * kCap; ++tx) set.insert(tx);
+  EXPECT_EQ(set.size(), kCap);
+  EXPECT_LE(set.heap_bytes(), 24 * kCap);
+}
+
+TEST(RememberedTxSet, RejectsCapThatIsNotAPowerOfTwo) {
+  EXPECT_THROW(RememberedTxSet(0), std::invalid_argument);
+  EXPECT_THROW(RememberedTxSet(48), std::invalid_argument);
+}
+
+TEST(Server, PresumedAbortSurvivesASecondExpiryAfterARetriedPrepare) {
+  // A transaction whose lease expires, prepares again and expires again
+  // must stay presumed aborted until a full cap of other transactions has
+  // expired after it, so a late commit is still refused.
+  constexpr std::size_t kCap = 1 << 16;  // the server's memory cap
+  Server server(0, 0, /*prepare_lease_ns=*/1);
+  const auto prepare_and_expire = [&](TxId tx) {
+    PrepareRequest prepare;
+    prepare.tx = tx;
+    Request request;
+    request.payload = prepare;
+    const auto response = server.handle(100, request);
+    ASSERT_EQ(std::get<PrepareResponse>(response.payload).code,
+              PrepareCode::kOk);
+    while (server.expire_stale_leases() == 0) {
+    }
+  };
+  constexpr TxId kLate = 1;
+  prepare_and_expire(kLate);
+  prepare_and_expire(kLate);  // the retry supersedes the first verdict
+  for (TxId tx = 2; tx < 2 + kCap - 1; ++tx) prepare_and_expire(tx);
+
+  Request late;
+  late.payload = CommitRequest{kLate, {kA}, {Record{9}}, {1}};
+  EXPECT_EQ(std::get<CommitResponse>(server.handle(100, late).payload).code,
+            CommitCode::kExpired);
+  EXPECT_EQ(server.store().read(kA).status, store::ReadStatus::kMissing);
 }
 
 }  // namespace

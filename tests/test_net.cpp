@@ -1,10 +1,12 @@
 // Unit tests for the simulated message-passing network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/common/clock.hpp"
 #include "src/net/network.hpp"
@@ -208,6 +210,72 @@ TEST(Network, MulticallPaysWorstRoundTripOnce) {
   EXPECT_LT(elapsed, 12'000'000u);
 }
 
+// ---- delay fidelity: the counters, not wall time ------------------------
+
+TEST(NetDelay, ZeroLatencyRoundsNeverCount) {
+  auto net = make_net(3);
+  net->call(10, 0, Ping{1});
+  net->multicall(10, {0, 1, 2}, [](NodeId) { return Ping{1}; });
+  EXPECT_EQ(net->stats().delay_rounds(), 0u);
+  EXPECT_EQ(net->stats().delay_requested_ns(), 0u);
+}
+
+TEST(NetDelay, CallIsExactlyOneRound) {
+  using namespace std::chrono_literals;
+  auto net = make_net(2, std::make_shared<FixedLatency>(Nanos{20us}));
+  ASSERT_TRUE(net->call(10, 0, Ping{1}).ok());
+  EXPECT_EQ(net->stats().delay_rounds(), 1u);
+  // Both legs and the handler, one deadline: at least 40 us requested.
+  EXPECT_GE(net->stats().delay_requested_ns(), 40'000u);
+  EXPECT_GE(net->stats().delay_actual_ns(), net->stats().delay_requested_ns());
+}
+
+TEST(NetDelay, EveryRoundWakesNoEarlierThanRequested) {
+  using namespace std::chrono_literals;
+  auto net = make_net(4, std::make_shared<FixedLatency>(Nanos{10us}));
+  net->set_link_fault(10, 3, LinkFault{0.0, Nanos{30us}});
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t requested0 = net->stats().delay_requested_ns();
+    const std::uint64_t actual0 = net->stats().delay_actual_ns();
+    if (i % 2 == 0)
+      net->call(10, static_cast<NodeId>(i % 4), Ping{i});
+    else
+      net->multicall(10, {0, 1, 2, 3}, [&](NodeId) { return Ping{i}; });
+    const std::uint64_t requested = net->stats().delay_requested_ns() - requested0;
+    const std::uint64_t actual = net->stats().delay_actual_ns() - actual0;
+    EXPECT_GT(requested, 0u) << "round " << i;
+    EXPECT_GE(actual, requested) << "round " << i;
+  }
+  EXPECT_EQ(net->stats().delay_rounds(), 50u);
+}
+
+TEST(NetDelay, MulticallChargesTheSlowestHandlerNotTheSum) {
+  using namespace std::chrono_literals;
+  constexpr Nanos kLeg{2ms};
+  auto net = std::make_unique<TestNet>(std::make_shared<FixedLatency>(kLeg));
+  // Each handler spins 1 ms and reports the wall time it took, so a handler
+  // that a loaded host preempts is charged what it really took.
+  std::vector<std::uint64_t> handler_ns(4, 0);
+  for (NodeId id = 0; id < 4; ++id)
+    net->register_node(id, [id, &handler_ns](NodeId, const Ping& p) {
+      const Stopwatch spin;
+      while (spin.elapsed_ns() < 1'000'000) {
+      }
+      handler_ns[static_cast<std::size_t>(id)] = spin.elapsed_ns();
+      return Pong{p.value, id};
+    });
+  net->multicall(10, {0, 1, 2, 3}, [](NodeId) { return Ping{1}; });
+  ASSERT_EQ(net->stats().delay_rounds(), 1u);
+  const std::uint64_t slowest =
+      *std::max_element(handler_ns.begin(), handler_ns.end());
+  const auto legs = static_cast<std::uint64_t>((2 * kLeg).count());
+  const std::uint64_t requested = net->stats().delay_requested_ns();
+  EXPECT_GE(requested, legs + slowest);  // the slowest handler counts...
+  // ...and only it: the other three (3 ms or more) are not added.
+  EXPECT_LT(requested, legs + slowest + 1'000'000);
+  EXPECT_GE(net->stats().delay_actual_ns(), requested);
+}
+
 TEST(NetStats, ResetClears) {
   auto net = make_net(1);
   net->call(5, 0, Ping{1});
@@ -222,6 +290,11 @@ TEST(NetStats, SummaryMentionsCounters) {
   const auto text = stats.summary();
   EXPECT_NE(text.find("messages=1"), std::string::npos);
   EXPECT_NE(text.find("bytes=10"), std::string::npos);
+  stats.on_delay(100, 130);
+  const auto delayed = stats.summary();
+  EXPECT_NE(delayed.find("delay_rounds=1"), std::string::npos);
+  EXPECT_NE(delayed.find("delay_requested_ns=100"), std::string::npos);
+  EXPECT_NE(delayed.find("delay_actual_ns=130"), std::string::npos);
 }
 
 TEST(Network, NestedCallFromHandlerThrows) {

@@ -661,5 +661,103 @@ TEST(Coordinator, MispredictedFootprintFallsBackToCrossShard2pc) {
   EXPECT_EQ(latest_sharded(cluster, map, surprise).value.fields[0], 55);
 }
 
+// ---- DecisionLog: one representation in memory and on disk -------------
+
+std::vector<dtm::CommitRequest> decision_pushes(dtm::TxId tx) {
+  return {{tx, {ObjectKey{1, 5}}, {Record{1, 2}}, {3}, 0},
+          {tx, {ObjectKey{1, 105}, ObjectKey{1, 106}}, {Record{4}, Record{5}},
+           {6, 7}, 1}};
+}
+
+/// A commit (then a late abort it must ignore), an explicit abort, a sealed
+/// presumed abort, and a commit refused after that seal.
+void drive_decisions(DecisionLog& log) {
+  ASSERT_TRUE(log.record_commit(1, decision_pushes(1)));
+  log.record_abort(1);
+  log.record_abort(2);
+  ASSERT_EQ(log.answer({3, 0}).code, dtm::DecisionCode::kAborted);
+  ASSERT_FALSE(log.record_commit(3, decision_pushes(3)));
+}
+
+/// Everything a log says about transactions 1..4 and groups 0..2.
+struct DecisionView {
+  std::vector<std::optional<Decision>> decisions;
+  std::vector<std::optional<dtm::CommitRequest>> pushes;
+  std::vector<dtm::DecisionReply> answers;
+
+  friend bool operator==(const DecisionView&, const DecisionView&) = default;
+};
+
+DecisionView view_decisions(DecisionLog& log) {
+  DecisionView view;
+  for (dtm::TxId tx = 1; tx <= 4; ++tx) {
+    view.decisions.push_back(log.decision(tx));
+    for (std::uint32_t group = 0; group < 3; ++group)
+      view.pushes.push_back(log.push_for(tx, group));
+  }
+  // answer() seals unknown transactions, so only decided ones are asked.
+  for (dtm::TxId tx = 1; tx <= 3; ++tx)
+    for (std::uint32_t group = 0; group < 3; ++group)
+      view.answers.push_back(log.answer({tx, group}));
+  return view;
+}
+
+TEST(DecisionLog, VolatileAndDurableLogsAnswerAlike) {
+  const std::string path = testing::TempDir() + "acn-decision-log";
+  std::filesystem::remove(path);
+
+  DecisionLog memory;
+  drive_decisions(memory);
+  const DecisionView expected = view_decisions(memory);
+
+  const auto pushes = decision_pushes(1);
+  EXPECT_EQ(expected.decisions,
+            (std::vector<std::optional<Decision>>{
+                Decision::kCommit, Decision::kAbort, Decision::kAbort,
+                std::nullopt}));
+  EXPECT_EQ(expected.pushes[0], pushes[0]);
+  EXPECT_EQ(expected.pushes[1], pushes[1]);
+  for (std::size_t i = 2; i < expected.pushes.size(); ++i)
+    EXPECT_FALSE(expected.pushes[i].has_value()) << i;
+  EXPECT_EQ(expected.answers[0].code, dtm::DecisionCode::kCommitted);
+  EXPECT_EQ(expected.answers[1].keys, pushes[1].keys);
+  EXPECT_EQ(expected.answers[1].values, pushes[1].values);
+  EXPECT_EQ(expected.answers[1].versions, pushes[1].versions);
+  EXPECT_TRUE(expected.answers[2].keys.empty());  // group 2 took no part
+  for (std::size_t i = 3; i < expected.answers.size(); ++i)
+    EXPECT_EQ(expected.answers[i].code, dtm::DecisionCode::kAborted) << i;
+
+  {
+    DecisionLog durable(path);
+    drive_decisions(durable);
+    EXPECT_EQ(view_decisions(durable), expected);
+  }
+  {
+    DecisionLog reopened(path);
+    EXPECT_EQ(view_decisions(reopened), expected);
+  }
+
+  // A crash mid-append leaves a torn frame: a header promising more bytes
+  // than the file holds.  Replay drops it, and a decision recorded after
+  // the re-open survives the next one.
+  {
+    std::FILE* file = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(file, nullptr);
+    const std::uint8_t torn[] = {200, 0, 0, 0, 1, 2, 3, 4, 9, 9};
+    std::fwrite(torn, 1, sizeof(torn), file);
+    std::fclose(file);
+  }
+  {
+    DecisionLog reopened(path);
+    EXPECT_EQ(view_decisions(reopened), expected);
+    EXPECT_TRUE(reopened.record_commit(5, decision_pushes(5)));
+  }
+  DecisionLog after_torn(path);
+  EXPECT_EQ(view_decisions(after_torn), expected);
+  EXPECT_EQ(after_torn.decision(5), Decision::kCommit);
+  EXPECT_EQ(after_torn.push_for(5, 1), decision_pushes(5)[1]);
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace acn::shard
