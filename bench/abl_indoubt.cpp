@@ -227,8 +227,8 @@ ScenarioResult run_scenario(const bench::BenchOptions& args,
   // Victim prepares on both groups before any fault fires.
   std::optional<ShardTx> parked;
   parked.emplace(victim.begin(write_footprint({victim_src, victim_dst})));
-  parked->write(victim_src, Record{kInitialBalance - kVictimAmount});
-  parked->write(victim_dst, Record{kInitialBalance + kVictimAmount});
+  parked->insert(victim_src, Record{kInitialBalance - kVictimAmount});
+  parked->insert(victim_dst, Record{kInitialBalance + kVictimAmount});
   if (parked->prepare_all() < 2) {
     fail("victim prepared fewer than 2 groups");
     return result;

@@ -111,8 +111,8 @@ int main(int argc, char** argv) {
     footprint.push_back({std::min(orphan_a, orphan_b), true});
     footprint.push_back({std::max(orphan_a, orphan_b), true});
     orphan_tx.emplace(orphan_owner->begin(footprint));
-    orphan_tx->write(orphan_a, store::Record{0});
-    orphan_tx->write(orphan_b, store::Record{0});
+    orphan_tx->insert(orphan_a, store::Record{0});
+    orphan_tx->insert(orphan_b, store::Record{0});
     if (orphan_tx->prepare_all() < 2)
       throw std::runtime_error("orphan prepared fewer than 2 groups");
     std::printf("[setup] orphaned cross-shard prepare holds %s and %s\n",

@@ -625,8 +625,8 @@ int main(int argc, char** argv) {
       const ObjectKey src = pools[c % mixed_shards][8 + c];
       const ObjectKey dst = pools[(c + 1) % mixed_shards][8 + c];
       ShardTx tx = doomed.back()->begin(write_footprint({src, dst}));
-      tx.write(src, Record{0});
-      tx.write(dst, Record{0});
+      tx.insert(src, Record{0});
+      tx.insert(dst, Record{0});
       if (tx.prepare_all() == 0)
         throw std::runtime_error("chaos: orphan prepared no group");
       parked.push_back(std::move(tx));
@@ -830,13 +830,12 @@ int main(int argc, char** argv) {
       }
     }
     tpcc_cross = fleet.stats().cross_shard.load();
-    const std::uint64_t tpcc_cross_commits = fleet.stats().cross_commits.load();
     const std::size_t tpcc_leases = cluster_open_leases(tpcc_sharded);
     const std::size_t tpcc_protected = cluster_protected(tpcc_sharded);
     std::printf("tpcc mixed: %llu commits (%llu cross-shard), %zu keys "
                 "compared\n",
                 static_cast<unsigned long long>(tpcc_commits),
-                static_cast<unsigned long long>(tpcc_cross_commits),
+                static_cast<unsigned long long>(tpcc_cross),
                 tpcc_keys.size());
     if (tpcc_mismatched != 0) ok = false;
     if (tpcc_commits != tpcc_shards * tpcc_txs) {
@@ -845,7 +844,7 @@ int main(int argc, char** argv) {
                    tpcc_shards * tpcc_txs);
       ok = false;
     }
-    if (tpcc_cross_commits == 0 && tpcc_shards > 1 && scale.remote_wh > 0) {
+    if (tpcc_cross == 0 && tpcc_shards > 1 && scale.remote_wh > 0) {
       std::fprintf(stderr,
                    "FAIL: tpcc mixed run committed no cross-shard NewOrder\n");
       ok = false;

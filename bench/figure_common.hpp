@@ -313,8 +313,8 @@ inline void print_lane_summary(const shard::ClientFleet& fleet) {
 /// Run `workload` under `protocol` with every worker submitting through a
 /// shard::Client of `fleet` (the cluster must be seeded via fleet.seed).
 /// With --shards=1 this is behaviorally the classic unsharded run: every
-/// plan is single-shard and the Client is a pass-through to the home
-/// group's Executor.
+/// transaction touches one group, and its ShardTx sends what a lone
+/// nesting::Transaction on that group would.
 inline harness::RunResult run_sharded(harness::Cluster& cluster,
                                       const workloads::Workload& workload,
                                       harness::Protocol protocol,
@@ -330,8 +330,9 @@ int run_figure(const std::string& title, const BenchOptions& args,
                MakeWorkload&& make_workload) {
   try {
     // One cluster + client fleet per protocol: workloads submit through
-    // shard::Client, which routes by predicted footprint (single-shard
-    // fast path or cross-shard 2PC) behind the uniform Submitter API.
+    // shard::Client, which commits each transaction on the groups it
+    // touches (one group alone, or cross-shard 2PC) behind the uniform
+    // Submitter API.
     std::vector<harness::RunResult> results;
     for (const harness::Protocol protocol :
          {harness::Protocol::kFlat, harness::Protocol::kManualCN,

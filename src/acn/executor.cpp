@@ -200,21 +200,25 @@ void Executor::run(Protocol protocol, const RunOptions& options,
   }
 }
 
-std::unique_ptr<nesting::TxContext> Executor::begin_attempt(
-    const KeyFootprint& predicted) {
-  if (source_ != nullptr) return source_->open(predicted);
-  auto txn = std::make_unique<nesting::Transaction>(*stub_,
-                                                    nesting::next_tx_id());
-  txn->set_history(config_.history);
-  txn->set_obs(config_.obs);
-  if (ContentionMonitor* monitor = config_.piggyback_monitor) {
-    txn->set_contention_piggyback(
+void arm_transaction(nesting::Transaction& txn, const ExecutorConfig& config) {
+  txn.set_obs(config.obs);
+  if (ContentionMonitor* monitor = config.piggyback_monitor) {
+    txn.set_contention_piggyback(
         monitor->classes(),
         [monitor](const std::vector<ir::ClassId>& classes,
                   const std::vector<std::uint64_t>& levels) {
           monitor->observe(classes, levels);
         });
   }
+}
+
+std::unique_ptr<nesting::TxContext> Executor::begin_attempt(
+    const KeyFootprint& predicted) {
+  if (source_ != nullptr) return source_->open(predicted, config_);
+  auto txn = std::make_unique<nesting::Transaction>(*stub_,
+                                                    nesting::next_tx_id());
+  txn->set_history(config_.history);
+  arm_transaction(*txn, config_);
   return txn;
 }
 

@@ -37,7 +37,10 @@
 // full abort and back off.  An Executor built over a QuorumStub runs each
 // attempt in a nesting::Transaction on that quorum group; one built over a
 // ContextSource (shard::CrossShardCoordinator) runs it in whatever context
-// the source opens — a ShardTx spanning groups, committed by 2PC.
+// the source opens — a ShardTx, which routes each access to a
+// nesting::Transaction on the key's group and commits them together (one
+// group: that Transaction's own commit; several: 2PC).  Either way every
+// Transaction is armed by arm_transaction().
 #pragma once
 
 #include <chrono>
@@ -186,6 +189,11 @@ inline RunOptions with_controller(AdaptiveController& controller) {
   return options;
 }
 
+/// Arm `txn` with the config's obs bundle and contention piggyback: what
+/// every Transaction an attempt runs in gets, whether the Executor opened
+/// it over its stub or a ShardTx opened it on a group.
+void arm_transaction(nesting::Transaction& txn, const ExecutorConfig& config);
+
 /// Where an Executor's attempts get their transactional context, when it
 /// is not a nesting::Transaction on one quorum group.
 class ContextSource {
@@ -194,9 +202,10 @@ class ContextSource {
 
   /// A fresh context for one attempt; `predicted` is the transaction's
   /// predicted footprint (it picks the route plan a cross-shard context
-  /// starts from).
+  /// starts from).  `config` is the run's config, alive for the attempt:
+  /// the context arms its Transactions with it (arm_transaction).
   virtual std::unique_ptr<nesting::TxContext> open(
-      const KeyFootprint& predicted) = 0;
+      const KeyFootprint& predicted, const ExecutorConfig& config) = 0;
 };
 
 class Executor {
@@ -220,7 +229,7 @@ class Executor {
   struct BlockPlan;
 
   /// A fresh context for one attempt: from source_, or a Transaction over
-  /// stub_ armed with the config's history, obs and piggyback.
+  /// stub_ armed with the config's history (and arm_transaction).
   std::unique_ptr<nesting::TxContext> begin_attempt(
       const KeyFootprint& predicted);
 

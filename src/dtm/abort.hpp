@@ -65,11 +65,10 @@ class TxAbort : public std::exception {
 };
 
 /// Reading an object that exists on no reachable replica is a workload bug
-/// (objects are seeded before traffic) — with one exception: on a sharded
-/// cluster with owner-scoped seeding, a mispredicted single-shard plan
-/// reads a foreign group's key on the home group and lands here.  The key
-/// is kept structured so shard::Client can tell that case (key owned by
-/// another group → escalate to the cross-shard path) from a real bug.
+/// (objects are seeded before traffic; a sharded ShardTx reads every key
+/// from the group that owns it).  The key is kept structured so a caller
+/// can name it — the epoch lane marks a planned key no replica holds as
+/// absent and demotes the entries that read it.
 class ObjectMissing : public std::exception {
  public:
   explicit ObjectMissing(const store::ObjectKey& key)

@@ -3,8 +3,8 @@
 //
 //   * nesting::Transaction — one quorum group, closed nesting (the paper's
 //     QR-CN runtime);
-//   * shard::ShardTx       — reads and writes spanning quorum groups, 2PC
-//     across them at commit;
+//   * shard::ShardTx       — a router over one nesting::Transaction per
+//     quorum group it touches, 2PC across them at commit;
 //   * queue::SpecBackend   — an epoch entry's speculative workspace (the
 //     TxAccess part only: epochs never nest or retry per entry).
 //

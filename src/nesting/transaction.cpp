@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <utility>
 
 namespace acn::nesting {
 
@@ -145,18 +146,21 @@ void Transaction::abort_nested() {
   frames_.pop_back();
 }
 
-AbortScope Transaction::classify(const TxAbort& abort) const {
-  const AbortScope scope = classify_scope(abort);
-  if (obs_) {
+AbortScope count_classification(obs::Observability* obs, AbortScope scope) {
+  if (obs) {
     if (scope == AbortScope::kPartial)
-      obs_->classify_partial.add();
+      obs->classify_partial.add();
     else
-      obs_->classify_full.add();
+      obs->classify_full.add();
   }
   return scope;
 }
 
-AbortScope Transaction::classify_scope(const TxAbort& abort) const {
+AbortScope Transaction::classify(const TxAbort& abort) const {
+  return count_classification(obs_, scope_of(abort));
+}
+
+AbortScope Transaction::scope_of(const TxAbort& abort) const {
   if (frames_.size() < 2) return AbortScope::kFull;
   // Partial rollback applies only when every invalidated object was first
   // accessed by the active sub-transaction: objects never seen before (e.g.
@@ -172,31 +176,23 @@ AbortScope Transaction::classify_scope(const TxAbort& abort) const {
 }
 
 void Transaction::commit() {
-  if (frames_.size() != 1)
-    throw std::logic_error("Transaction::commit with open sub-transaction");
-  Frame& frame = frames_.front();
   obs::Tracer::Span commit_span;
   if (obs_)
     commit_span.restart(&obs_->tracer, "tx.commit_phase", "tx", id_,
                         "writes",
-                        static_cast<std::int64_t>(frame.writes.size()));
+                        static_cast<std::int64_t>(frames_.front().writes.size()));
+  prepare();
+  commit_prepared();
+}
 
-  auto record_history = [&](const std::vector<ObjectKey>& keys,
-                            const std::vector<Version>& versions) {
-    if (!history_) return;
-    CommittedTxn entry;
-    entry.tx = id_;
-    for (const auto& [key, record] : frame.reads)
-      entry.reads.push_back({key, record.version});
-    for (std::size_t i = 0; i < keys.size(); ++i)
-      entry.writes.push_back({keys[i], versions[i]});
-    history_->record(std::move(entry));
-  };
-
+void Transaction::prepare(const std::vector<std::uint32_t>& participants,
+                          std::int64_t coordinator) {
+  if (frames_.size() != 1)
+    throw std::logic_error("Transaction::prepare with open sub-transaction");
+  const Frame& frame = frames_.front();
   if (frame.writes.empty()) {
     // Read-only: one final validation round suffices (no 2PC).
     stub_.validate(id_, all_version_checks());
-    record_history({}, {});
     return;
   }
 
@@ -207,23 +203,47 @@ void Transaction::commit() {
 
   std::vector<Version> read_versions;
   read_versions.reserve(write_keys.size());
+  values_.clear();
+  values_.reserve(write_keys.size());
   for (const auto& key : write_keys) {
     const auto it = frame.reads.find(key);
     read_versions.push_back(it == frame.reads.end() ? 0 : it->second.version);
+    values_.push_back(frame.writes.at(key));
   }
 
+  dtm::PrepareExtras extras;
+  if (!participants.empty()) {
+    extras.participants = participants;
+    extras.coordinator = coordinator;
+    extras.values = values_;
+  }
   // Validation payload: reads not overwritten still need their version
   // checked; written objects are protected during prepare, and their checks
   // ride along too (the server skips self-protected busy conflicts by
   // comparing versions only).
-  const auto ticket =
-      stub_.prepare(id_, all_version_checks(), write_keys, read_versions);
+  ticket_ = stub_.prepare(id_, all_version_checks(), write_keys, read_versions,
+                          extras);
+}
 
-  std::vector<Record> values;
-  values.reserve(write_keys.size());
-  for (const auto& key : write_keys) values.push_back(frame.writes.at(key));
-  stub_.commit(ticket, values);
-  record_history(ticket.keys, ticket.new_versions);
+void Transaction::commit_prepared() {
+  const std::optional<dtm::PrepareTicket> ticket =
+      std::exchange(ticket_, std::nullopt);
+  if (ticket) stub_.commit(*ticket, values_);
+  if (!history_) return;
+  CommittedTxn entry;
+  entry.tx = id_;
+  for (const auto& [key, record] : frames_.front().reads)
+    entry.reads.push_back({key, record.version});
+  if (ticket)
+    for (std::size_t i = 0; i < ticket->keys.size(); ++i)
+      entry.writes.push_back({ticket->keys[i], ticket->new_versions[i]});
+  history_->record(std::move(entry));
+}
+
+void Transaction::abort_prepared() {
+  if (const std::optional<dtm::PrepareTicket> ticket =
+          std::exchange(ticket_, std::nullopt))
+    stub_.abort(*ticket);
 }
 
 bool Transaction::restore_checkpoint(std::size_t index) {
@@ -236,6 +256,7 @@ void Transaction::reset(TxId new_id) {
   frames_.clear();
   frames_.emplace_back();
   checkpoints_.clear();
+  ticket_.reset();
   id_ = new_id;
   stats_ = {};
 }

@@ -17,12 +17,16 @@
 // must restart.
 //
 // The final commit() runs two-phase commit over a write quorum with the
-// flattened read/write sets.  Only one level of nesting is supported, per
-// the paper's system model (Section IV).
+// flattened read/write sets: prepare(), then commit_prepared().  The phases
+// are public so a cross-shard context (shard::ShardTx, one Transaction per
+// quorum group) can run them group by group under its own decision.  Only
+// one level of nesting is supported, per the paper's system model
+// (Section IV).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -91,8 +95,11 @@ class Transaction final : public TxContext {
   std::size_t depth() const noexcept { return frames_.size(); }
 
   /// Partial iff a sub-transaction is active and no invalidated object
-  /// belongs to a frame below the top.
+  /// belongs to a frame below the top.  Counted in the obs bundle.
   AbortScope classify(const TxAbort& abort) const override;
+  /// classify() without counting, for a context that combines the verdicts
+  /// of several Transactions and counts once.
+  AbortScope scope_of(const TxAbort& abort) const;
 
   // -- checkpointing ---------------------------------------------------
   /// Deep copy of all frames.  O(read-set + write-set) — the cost the
@@ -104,19 +111,44 @@ class Transaction final : public TxContext {
   bool restore_checkpoint(std::size_t index) override;
 
   // -- commit --------------------------------------------------------------
-  /// Two-phase commit of the flattened sets; requires depth() == 1.
-  /// Throws TxAbort on conflict.  Read-only transactions run a final
-  /// validation round instead of 2PC.
+  /// Two-phase commit of the flattened sets: prepare(), then
+  /// commit_prepared().  Throws TxAbort on conflict.
   void commit() override;
 
-  /// Nothing to release: commit() frees what it acquired when it fails.
-  void abort() override {}
+  /// Phase one; requires depth() == 1.  Prepares the write set on a write
+  /// quorum and holds the ticket, or runs a read-only transaction's final
+  /// validation round and holds nothing.  A non-empty `participants` (the
+  /// write groups of a cross-shard transaction) is stamped into the prepare
+  /// with `coordinator` and the redo values.  Throws TxAbort holding
+  /// nothing (the stub releases what a failed prepare acquired).
+  void prepare(const std::vector<std::uint32_t>& participants = {},
+               std::int64_t coordinator = -1);
+  /// Phase two: install the held prepare, if any, and record history.
+  /// Throws what QuorumStub::commit throws; the ticket is spent either way.
+  void commit_prepared();
+  /// Release the held prepare, if any.
+  void abort_prepared();
+  /// The held prepare (null when none is held), and its values aligned
+  /// with ticket()->keys.
+  const dtm::PrepareTicket* ticket() const noexcept {
+    return ticket_ ? &*ticket_ : nullptr;
+  }
+  const std::vector<Record>& prepared_values() const noexcept {
+    return values_;
+  }
+
+  /// Release whatever prepare() holds; commit() itself holds nothing once
+  /// it returns or throws.
+  void abort() override { abort_prepared(); }
 
   /// Discard all buffered state and adopt a fresh id (full restart).
   void reset(TxId new_id);
 
   std::size_t read_set_size() const;
   std::size_t write_set_size() const;
+  /// Every frame's read versions: the incremental-validation payload, and
+  /// after commit the versions this transaction read.
+  std::vector<dtm::VersionCheck> all_version_checks() const;
   const TxnStats& stats() const noexcept { return stats_; }
 
   /// When set, a successful commit() appends the transaction's read and
@@ -138,9 +170,6 @@ class Transaction final : public TxContext {
                                 ContentionSink sink);
 
  private:
-  AbortScope classify_scope(const TxAbort& abort) const;
-  /// All frames' read versions, for incremental-validation payloads.
-  std::vector<dtm::VersionCheck> all_version_checks() const;
   const Record* find_buffered(const ObjectKey& key) const;
   /// Hand piggybacked contention levels to the sink, if any came back.
   void deliver_levels(const std::vector<std::uint64_t>& levels) const;
@@ -149,12 +178,18 @@ class Transaction final : public TxContext {
   TxId id_;
   std::vector<Frame> frames_;
   std::vector<std::vector<Frame>> checkpoints_;
+  std::optional<dtm::PrepareTicket> ticket_;
+  std::vector<Record> values_;  // aligned with ticket_->keys
   TxnStats stats_;
   HistoryLog* history_ = nullptr;
   obs::Observability* obs_ = nullptr;
   std::vector<dtm::ClassId> piggyback_classes_;
   ContentionSink piggyback_sink_;
 };
+
+/// Tally `scope` in the obs bundle's nesting.classify.* counters (when
+/// `obs` is set) and return it.
+AbortScope count_classification(obs::Observability* obs, AbortScope scope);
 
 /// Monotonic transaction-id source shared by all clients in the process.
 TxId next_tx_id();

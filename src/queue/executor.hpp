@@ -17,8 +17,8 @@
 // never ran, and the submitter re-executes it on the optimistic ACN path
 // after the epoch commits — which serializes it after the epoch, exactly
 // the order the epoch's atomic commit establishes.  Reads of a planned key
-// no replica holds demote the same way (the optimistic path owns the
-// ObjectMissing protocol: escalate a routing miss, surface a workload bug).
+// no replica holds demote the same way (the optimistic path surfaces it as
+// dtm::ObjectMissing, a workload bug).
 //
 // Nothing here touches the network: the planner prefetches every planned
 // key up front (one batched quorum round per group), so intra-epoch

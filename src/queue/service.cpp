@@ -24,13 +24,8 @@ EpochService::EpochService(harness::Cluster& cluster,
                            QueueConfig config, std::uint64_t seed,
                            obs::Observability* obs)
     : config_(config),
-      router_(router),
       obs_(obs),
-      ordinal_(next_service_ordinal()),
-      coordinator_(cluster, router, ordinal_, seed ^ 0xE90CULL) {
-  stubs_.reserve(cluster.n_groups());
-  for (std::size_t g = 0; g < cluster.n_groups(); ++g)
-    stubs_.push_back(cluster.make_group_stub(g, ordinal_, seed + g));
+      coordinator_(cluster, router, next_service_ordinal(), seed ^ 0xE90CULL) {
   const std::size_t n_executors = std::max<std::size_t>(1, config_.n_executors);
   executors_.reserve(n_executors);
   for (std::size_t i = 0; i < n_executors; ++i)
@@ -130,34 +125,21 @@ void EpochService::planner_loop() {
   done_cv_.notify_all();
 }
 
-std::uint32_t EpochService::group_for(const store::ObjectKey& key,
-                                      std::uint32_t home) const {
-  const shard::ShardMap& map = router_.map();
-  return map.replicated(key.cls) ? home : map.shard_of(key);
-}
-
-void EpochService::prefetch(const EpochPlan& plan, dtm::TxId tx,
-                            std::uint32_t home, Workspace& workspace) {
-  std::map<std::uint32_t, std::vector<store::ObjectKey>> by_group;
-  for (const FootprintEntry& entry : plan.footprint)
-    by_group[group_for(entry.key, home)].push_back(entry.key);
-  for (auto& [group, keys] : by_group) {
-    dtm::QuorumStub& stub = stubs_.at(group);
+void EpochService::prefetch(const EpochPlan& plan, shard::ShardTx& tx,
+                            Workspace& workspace) {
+  std::vector<store::ObjectKey> keys;
+  keys.reserve(plan.footprint.size());
+  for (const FootprintEntry& entry : plan.footprint) keys.push_back(entry.key);
+  for (;;) {
     try {
-      dtm::BatchedReadOutcome out = stub.read_many(tx, keys, {});
-      for (std::size_t i = 0; i < keys.size(); ++i)
-        workspace.cache[keys[i]] = std::move(out.records[i]);
-    } catch (const dtm::ObjectMissing&) {
-      // Some key has no replica (a blind-insert target, or a routing
-      // surprise).  Fall back per key so the present ones still cache and
-      // the absent ones are marked (reads of them demote).
-      for (const store::ObjectKey& key : keys) {
-        try {
-          workspace.cache[key] = stub.read(tx, key, {}).record;
-        } catch (const dtm::ObjectMissing&) {
-          workspace.absent.insert(key);
-        }
-      }
+      for (auto& [key, record] : tx.read_many({}, keys))
+        workspace.cache[key] = std::move(record);
+      return;
+    } catch (const dtm::ObjectMissing& missing) {
+      // A planned key no replica holds (a blind-insert target): mark it
+      // absent, so reading it demotes, and refetch the rest.
+      if (std::erase(keys, missing.key()) == 0) throw;
+      workspace.absent.insert(missing.key());
     }
   }
 }
@@ -217,7 +199,6 @@ void EpochService::run_one_epoch(std::vector<Submission*>& batch) {
   footprints.reserve(batch.size());
   for (const Submission* s : batch) footprints.push_back(&s->footprint);
   const EpochPlan plan = plan_epoch(footprints);
-  const std::uint32_t home = router_.plan(plan.footprint).home();
 
   stats_.epochs.fetch_add(1, std::memory_order_relaxed);
   if (obs_) {
@@ -235,7 +216,7 @@ void EpochService::run_one_epoch(std::vector<Submission*>& batch) {
     for (Submission* s : batch) s->result = {};
     try {
       shard::ShardTx tx = coordinator_.begin(plan.footprint);
-      prefetch(plan, tx.id(), home, workspace);
+      prefetch(plan, tx, workspace);
       execute(plan, batch, workspace);
       if (workspace.written.empty() && workspace.reads_used.empty()) {
         // Every entry demoted — nothing to decide.
@@ -243,13 +224,12 @@ void EpochService::run_one_epoch(std::vector<Submission*>& batch) {
         epoch_decided = true;
         break;
       }
-      shard::ShardTx::Checkpoint state;
-      state.reads = workspace.reads_used;
+      // The epoch's read set is the prefetched versions its committed
+      // entries consumed; its writes are the queue order's final values
+      // (a read key keeps its read version for the prepare).
       for (const auto& [key, record] : workspace.reads_used)
-        state.read_groups[key] = group_for(key, home);
-      for (const auto& [key, value] : workspace.written)
-        state.writes[key] = value;
-      tx.restore(std::move(state));
+        tx.adopt_read(key, record);
+      for (const auto& [key, value] : workspace.written) tx.insert(key, value);
       // ONE decision for the whole epoch: single-group epochs take the
       // classic prepare+commit, multi-group epochs cross-shard 2PC with
       // decision records and in-doubt parking — all inherited.

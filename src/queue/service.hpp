@@ -2,16 +2,18 @@
 //
 // EpochService is the subsystem's engine: a planner thread batches
 // submitted transactions into epochs, plans per-key priority queues from
-// their predicted footprints (src/queue/epoch.hpp), prefetches every
-// planned key in one batched quorum round per group, and a pool of queue
-// executors runs the entries speculatively against the prefetched
-// workspace (src/queue/executor.hpp).  All writes of an epoch then commit
-// in ONE decision: the workspace's consumed reads and final writes are
-// loaded into a ShardTx (restore) and committed — single-group epochs take
-// the classic one-prepare fast path, multi-group epochs take cross-shard
-// 2PC with decision records, in-doubt parking and the WAL group-commit
-// underneath, all inherited from src/shard.  Cross-shard 2PC thus
-// collapses from one decision per transaction into one decision per epoch.
+// their predicted footprints (src/queue/epoch.hpp), and opens one ShardTx
+// per epoch attempt.  The ShardTx prefetches every planned key
+// speculatively (read_many: one batched quorum round per group), and a
+// pool of queue executors runs the entries speculatively against the
+// prefetched workspace (src/queue/executor.hpp).  All writes of an epoch
+// then commit in ONE decision: the workspace's consumed reads are adopted
+// into the ShardTx (adopt_read), its final writes inserted, and the ShardTx
+// committed — single-group epochs take the classic one-prepare path,
+// multi-group epochs take cross-shard 2PC with decision records, in-doubt
+// parking and the WAL group-commit underneath, all inherited from
+// src/shard.  Cross-shard 2PC thus collapses from one decision per
+// transaction into one decision per epoch.
 //
 // Intra-epoch conflicts never abort: they are queue order.  The epoch can
 // still lose a *validation* race against state that changed after the
@@ -130,24 +132,19 @@ class EpochService final : public shard::Lane {
   void planner_loop();
   void executor_loop();
   void run_one_epoch(std::vector<Submission*>& batch);
-  /// One batched quorum round per participating group into the workspace.
-  void prefetch(const EpochPlan& plan, dtm::TxId tx, std::uint32_t home,
-                Workspace& workspace);
+  /// Fetch every planned key into the workspace through `tx`: one batched
+  /// quorum round per participating group.
+  static void prefetch(const EpochPlan& plan, shard::ShardTx& tx,
+                       Workspace& workspace);
   /// Run the planned entries over the executor pool; returns when all done.
   void execute(const EpochPlan& plan, std::vector<Submission*>& batch,
                Workspace& workspace);
-  std::uint32_t group_for(const store::ObjectKey& key,
-                          std::uint32_t home) const;
 
   const QueueConfig config_;
-  const shard::ShardRouter& router_;
   obs::Observability* const obs_;
-  /// The service's network identity (client ordinal for the coordinator
-  /// and every prefetch stub) — unique per service instance.
-  const int ordinal_;
+  /// The epoch coordinator, on the service's own network identity (a
+  /// client ordinal unique per service instance).
   shard::CrossShardCoordinator coordinator_;
-  /// One stub per group for the epoch-wide prefetch (read_many).
-  std::vector<dtm::QuorumStub> stubs_;
   ServiceStats stats_;
 
   std::atomic<bool> stop_{false};

@@ -27,21 +27,12 @@ Client::Client(harness::Cluster& cluster, const ShardRouter& router,
                ClientStats& stats, int client_ordinal,
                acn::ExecutorConfig config, std::uint64_t seed, ExecMode mode,
                std::shared_ptr<Lane> lane)
-    : router_(router),
-      stats_(stats),
+    : stats_(stats),
       mode_(mode),
       lane_(std::move(lane)),
       coordinator_(cluster, router, client_ordinal, seed ^ 0xC0DEULL),
-      cross_(coordinator_, config, seed * 0x9e3779b97f4a7c15ULL + 0x5AAD) {
+      executor_(coordinator_, config, seed * 0x9e3779b97f4a7c15ULL + 0x5AAD) {
   coordinator_.set_logs(config.history, config.cross_log);
-  stubs_.reserve(cluster.n_groups());
-  executors_.reserve(cluster.n_groups());
-  for (std::size_t g = 0; g < cluster.n_groups(); ++g) {
-    stubs_.push_back(std::make_unique<dtm::QuorumStub>(
-        cluster.make_group_stub(g, client_ordinal, seed + g)));
-    executors_.push_back(std::make_unique<acn::Executor>(
-        *stubs_.back(), config, seed ^ (static_cast<std::uint64_t>(g) << 8)));
-  }
 }
 
 Client::~Client() {
@@ -59,24 +50,24 @@ Client::~Client() {
 void Client::run(Protocol protocol, const acn::RunOptions& options,
                  const std::vector<acn::ir::Record>& params,
                  acn::ExecStats& stats) {
-  const ir::TxProgram* program =
-      protocol == Protocol::kAcn && options.controller != nullptr
-          ? &options.controller->algorithm().program()
-          : options.program;
-  if (program == nullptr)
-    throw std::invalid_argument("shard::Client::run: missing program");
-  const KeyFootprint predicted = predicted_footprint(*program, params);
-
   // Deterministic-lane dispatch: kQueue sends every predictable
   // transaction, kHybrid only those whose footprint touches a hot key (the
   // scheduler's call — cold traffic loses nothing to optimism).  A
   // footprint-less transaction is invisible to the planner's queues, so it
-  // always stays optimistic.  A demotion falls through to the optimistic
-  // paths below, which serializes the re-execution after the lane's epoch.
-  if (lane_ != nullptr && mode_ != ExecMode::kAcn && !predicted.empty()) {
+  // always stays optimistic.  A demotion falls through to the Executor
+  // below, which serializes the re-execution after the lane's epoch.
+  if (lane_ != nullptr && mode_ != ExecMode::kAcn) {
+    const ir::TxProgram* program =
+        protocol == Protocol::kAcn && options.controller != nullptr
+            ? &options.controller->algorithm().program()
+            : options.program;
+    if (program == nullptr)
+      throw std::invalid_argument("shard::Client::run: missing program");
+    const KeyFootprint predicted = predicted_footprint(*program, params);
     const bool deterministic =
-        mode_ == ExecMode::kQueue ||
-        (options.scheduler != nullptr && options.scheduler->any_hot(predicted));
+        !predicted.empty() &&
+        (mode_ == ExecMode::kQueue || (options.scheduler != nullptr &&
+                                       options.scheduler->any_hot(predicted)));
     if (deterministic) {
       stats_.lane_submits.fetch_add(1, std::memory_order_relaxed);
       if (lane_->submit(*program, params, predicted, stats) ==
@@ -88,37 +79,15 @@ void Client::run(Protocol protocol, const acn::RunOptions& options,
     }
   }
 
-  const RoutePlan plan = router_.plan(predicted);
-
-  if (plan.single_shard()) {
-    const std::uint32_t home = plan.home();
+  executor_.run(protocol, options, params, stats);
+  const CrossShardCoordinator::CommitRoute& route = coordinator_.last_commit();
+  if (route.single) {
     stats_.fast_path.fetch_add(1, std::memory_order_relaxed);
-    try {
-      // The pre-sharding path, verbatim: full partial-rollback machinery,
-      // admission gating inside Executor::run, one group involved.
-      executors_.at(home)->run(protocol, options, params, stats);
-      router_.note_commit(plan);
-      return;
-    } catch (const dtm::ObjectMissing& missing) {
-      // Owner-scoped seeding makes a foreign key's absence on the home
-      // group the misprediction signal: if another group owns the key,
-      // this transaction was never single-shard — escalate.  A key no
-      // group owns stays what it always was, a workload bug.
-      const ShardMap& map = router_.map();
-      if (map.n_shards() == 1 || map.replicated(missing.key().cls) ||
-          map.shard_of(missing.key()) == home)
-        throw;
-      stats_.escalations.fetch_add(1, std::memory_order_relaxed);
-    }
+    return;
   }
-
-  // The same Executor::run over ShardTx contexts: the same Block retries,
-  // checkpoints, backoff and gate conversation, with 2PC at commit.  On an
-  // escalation the fast path's gate already finished (the ObjectMissing
-  // escaped its run); this run admits again.
   stats_.cross_shard.fetch_add(1, std::memory_order_relaxed);
-  cross_.run(protocol, options, params, stats);
-  stats_.cross_commits.fetch_add(1, std::memory_order_relaxed);
+  if (route.predicted_single)
+    stats_.escalations.fetch_add(1, std::memory_order_relaxed);
 }
 
 namespace {

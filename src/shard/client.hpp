@@ -2,37 +2,28 @@
 //
 // A Client is what a workload thread holds instead of a raw Executor: one
 // endpoint that accepts every TxProgram under every protocol and decides,
-// per transaction, how it reaches the cluster.  It only routes; both paths
-// run the same acn::Executor loop, so Block retries, checkpoints, backoff,
-// obs counters and the scheduler-gate conversation are written once.
-// Dispatch is footprint driven:
+// per transaction, how it reaches the cluster.  Dispatch is footprint
+// driven:
 //
-//   1. predict — evaluate acn::predicted_footprint over the bound params.
-//      With a deterministic lane (kQueue, or kHybrid when the scheduler
-//      calls the footprint hot) the transaction goes to the epoch lane
-//      first; a demotion falls through to the optimistic paths.
-//   2. single-shard plan — run the transaction through the home group's
-//      Executor, over nesting::Transactions on that group: full ACN partial
-//      rollback, batched reads, checkpointing.  No other group hears about
-//      the transaction.
-//   3. multi-shard plan — run it through the cross-shard Executor, built
-//      over the Client's CrossShardCoordinator, so every attempt runs in a
-//      ShardTx (2PC across groups at commit).  A ShardTx's Block frame is a
-//      saved copy of its buffered sets: an abort whose invalidated keys were
-//      all first read inside the current Block retries just that Block, as
-//      on the fast path, and kCheckpoint restores checkpoints.
-//   4. escalate — predictions are blind to keys produced mid-transaction.
-//      With owner-scoped seeding a mispredicted single-shard transaction
-//      reads a foreign key on its home group and surfaces
-//      dtm::ObjectMissing; the Client checks the key's real owner and, if
-//      it is another group, re-runs the transaction on the cross-shard
-//      path (a genuinely absent key is re-thrown — that is a workload
-//      bug, not a routing miss).
+//   1. lane — with a deterministic lane armed, evaluate
+//      acn::predicted_footprint over the bound params; under kQueue, or
+//      kHybrid when the scheduler calls the footprint hot, the transaction
+//      goes to the epoch lane first, and a demotion falls through to step 2.
+//   2. the one Executor — every optimistic transaction runs through one
+//      acn::Executor over the Client's CrossShardCoordinator, so every
+//      attempt runs in a ShardTx: each access goes to a nesting::
+//      Transaction on the key's group, with full ACN partial rollback,
+//      batched reads, prefetch and checkpointing.  A transaction that
+//      touched one group commits there alone, and no other group hears
+//      about it; one that touched several commits by 2PC.  A mispredicted
+//      footprint (a pointer chase onto another group's key) costs no
+//      re-run: the key is read from the group that owns it, and the commit
+//      spans that group too.
 //
-// The contention-aware scheduler sees one conversation per Executor run
+// The contention-aware scheduler sees one conversation per transaction
 // (admit / on_full_abort / finish, 2PC aborts classified with the shared
-// acn::outcome_of), so it cannot tell the paths apart: admission control is
-// a property of the submission API, not of any one execution engine.
+// acn::outcome_of): admission control is a property of the submission API,
+// not of any one execution engine.
 //
 // ClientFleet is the per-benchmark bundle: it owns the ShardMap (built
 // from the workload's placement), the ShardRouter and the shared
@@ -57,8 +48,7 @@
 namespace acn::shard {
 
 /// How a Client executes transactions:
-///   * kAcn    — the optimistic paths only (fast path / cross-shard 2PC),
-///     the pre-queue behavior;
+///   * kAcn    — the optimistic Executor only, the pre-queue behavior;
 ///   * kQueue  — every transaction with a predictable footprint goes to the
 ///     deterministic epoch lane (src/queue); the optimistic path serves
 ///     only demotions and unpredictable transactions;
@@ -102,18 +92,17 @@ class Lane {
 using LaneFactory = std::function<std::shared_ptr<Lane>(
     harness::Cluster& cluster, const ShardRouter& router)>;
 
-/// Dispatch counters, shared by every Client of a fleet.
+/// Dispatch counters, shared by every Client of a fleet.  The first three
+/// count each optimistic transaction once, at commit, from the groups it
+/// committed on.
 struct ClientStats {
-  /// Transactions dispatched down the single-shard Executor fast path.
+  /// Committed on one group (no other group heard about it).
   std::atomic<std::uint64_t> fast_path{0};
-  /// Fast-path runs that surfaced a foreign key (dtm::ObjectMissing owned
-  /// by another group) and were re-run cross-shard.
+  /// Committed on several groups although the prediction had one: a
+  /// mispredicted footprint the commit turned into 2PC.
   std::atomic<std::uint64_t> escalations{0};
-  /// Transactions executed on the cross-shard (2PC) path, including
-  /// escalations.
+  /// Committed on several groups by 2PC, escalations included.
   std::atomic<std::uint64_t> cross_shard{0};
-  /// Cross-shard path transactions that committed.
-  std::atomic<std::uint64_t> cross_commits{0};
   /// Sum of the per-coordinator atomicity-breach counters
   /// (CoordinatorStats::atomicity_breaches), folded in as Clients retire.
   /// The hard invariant every sharded gate asserts to be zero at exit.
@@ -137,7 +126,7 @@ struct ClientStats {
 class Client final : public harness::Submitter {
  public:
   /// `client_ordinal` must be unique per Client (network identity of its
-  /// stubs and the coordinator's TxId namespace).  `lane` (shared by the
+  /// coordinator's stubs and its TxId namespace).  `lane` (shared by the
   /// fleet) enables the deterministic dispatch of kQueue/kHybrid; kAcn
   /// ignores it.
   Client(harness::Cluster& cluster, const ShardRouter& router,
@@ -148,7 +137,8 @@ class Client final : public harness::Submitter {
 
   /// Execute one transaction to commit.  Same contract as Executor::run:
   /// throws std::invalid_argument when `options` lacks the protocol's
-  /// inputs and the last dtm::TxAbort when retries are exhausted.
+  /// inputs, the last dtm::TxAbort when retries are exhausted, and
+  /// dtm::ObjectMissing for a key no group holds.
   void run(Protocol protocol, const acn::RunOptions& options,
            const std::vector<acn::ir::Record>& params,
            acn::ExecStats& stats) override;
@@ -158,17 +148,12 @@ class Client final : public harness::Submitter {
   }
 
  private:
-  const ShardRouter& router_;
   ClientStats& stats_;
   ExecMode mode_ = ExecMode::kAcn;
   std::shared_ptr<Lane> lane_;
   CrossShardCoordinator coordinator_;
-  /// The cross-shard path: attempts run in ShardTxs coordinator_ opens.
-  acn::Executor cross_;
-  /// One stub + Executor per quorum group (stable addresses: the Executor
-  /// keeps a reference to its stub).
-  std::vector<std::unique_ptr<dtm::QuorumStub>> stubs_;
-  std::vector<std::unique_ptr<acn::Executor>> executors_;
+  /// Every optimistic attempt runs in a ShardTx coordinator_ opens.
+  acn::Executor executor_;
 };
 
 /// Everything a benchmark needs to run a workload sharded: the ShardMap

@@ -1,6 +1,8 @@
 #include "src/shard/coordinator.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -44,15 +46,31 @@ CrossShardCoordinator::CrossShardCoordinator(harness::Cluster& cluster,
       });
 }
 
-ShardTx CrossShardCoordinator::begin(const KeyFootprint& predicted) {
+ShardTx CrossShardCoordinator::begin(const KeyFootprint& predicted,
+                                     const acn::ExecutorConfig* config) {
   const dtm::TxId tx =
       tx_base_ | (tx_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  return ShardTx(this, tx, router_.plan(predicted));
+  return ShardTx(this, tx, router_.plan(predicted), config);
 }
 
+void CrossShardCoordinator::note_commit(const RoutePlan& predicted,
+                                        const RoutePlan& committed) {
+  (committed.single_shard() ? stats_.single_shard_commits
+                            : stats_.cross_shard_commits)
+      .fetch_add(1, std::memory_order_relaxed);
+  router_.count_misprediction(predicted, committed);
+  last_commit_ = {predicted.single_shard(), committed.single_shard()};
+}
+
+namespace {
+
+bool touched(const nesting::Transaction& txn) {
+  return txn.read_set_size() + txn.write_set_size() > 0;
+}
+
+}  // namespace
+
 std::uint32_t ShardTx::serving_group(const store::ObjectKey& key) const {
-  if (const auto it = read_groups_.find(key); it != read_groups_.end())
-    return it->second;
   const ShardMap& map = owner_->router_.map();
   // Replicated classes live on every group: serve them from the home group
   // the transaction talks to anyway, so the read never adds a participant.
@@ -60,170 +78,154 @@ std::uint32_t ShardTx::serving_group(const store::ObjectKey& key) const {
   return map.shard_of(key);
 }
 
-std::vector<dtm::VersionCheck> ShardTx::group_checks(
-    std::uint32_t group) const {
-  std::vector<dtm::VersionCheck> checks;
-  for (const auto& [key, rec] : reads_)
-    if (serving_group(key) == group) checks.push_back({key, rec.version});
-  return checks;
+nesting::Transaction& ShardTx::group_tx(std::uint32_t group) {
+  if (state_ != State::kActive)
+    throw std::logic_error("ShardTx: access to a finished transaction");
+  const auto [it, opened] =
+      groups_.try_emplace(group, owner_->stub(group), tx_);
+  nesting::Transaction& txn = it->second;
+  if (opened) {
+    // Join the handle where it stands: the checkpoints taken so far (this
+    // group was untouched at each) and the open Block frame.
+    if (config_ != nullptr) acn::arm_transaction(txn, *config_);
+    for (std::size_t i = 0; i < checkpoint_count_; ++i) txn.checkpoint();
+    for (std::size_t d = 1; d < depth_; ++d) txn.begin_nested();
+  }
+  return txn;
+}
+
+nesting::Transaction& ShardTx::write_tx(const store::ObjectKey& key) {
+  if (owner_->router_.map().replicated(key.cls))
+    throw std::logic_error("ShardTx: write to replicated class " +
+                           std::to_string(key.cls) + " (" +
+                           store::to_string(key) + ")");
+  return group_tx(serving_group(key));
 }
 
 store::Record ShardTx::read(const store::ObjectKey& key) {
-  if (state_ != State::kActive)
-    throw std::logic_error("ShardTx::read on a finished transaction");
-  if (const auto wit = writes_.find(key); wit != writes_.end())
-    return wit->second;
-  if (const auto rit = reads_.find(key); rit != reads_.end())
-    return rit->second.value;
-  const std::uint32_t group = serving_group(key);
-  // Incremental validation within the serving group: every prior read on
-  // this group rides along, so a stale snapshot dies at read time, not at
-  // prepare.  Reads on OTHER groups cannot be checked here (this group
-  // does not hold their keys); prepare/validate covers them per group.
-  const auto outcome =
-      owner_->stub(group).read(tx_, key, group_checks(group));
-  reads_.emplace(key, outcome.record);
-  read_groups_.emplace(key, group);
-  return outcome.record.value;
+  return group_tx(serving_group(key)).read(key);
 }
 
 void ShardTx::write(const store::ObjectKey& key, store::Record value) {
-  if (state_ != State::kActive)
-    throw std::logic_error("ShardTx::write on a finished transaction");
-  if (owner_->router_.map().replicated(key.cls))
-    throw std::logic_error("ShardTx::write to replicated class " +
-                           std::to_string(key.cls) + " (" +
-                           store::to_string(key) + ")");
-  writes_[key] = std::move(value);
+  write_tx(key).write(key, std::move(value));
+}
+
+void ShardTx::insert(const store::ObjectKey& key, store::Record value) {
+  write_tx(key).insert(key, std::move(value));
 }
 
 std::vector<std::pair<store::ObjectKey, store::VersionedRecord>>
 ShardTx::read_many(const std::vector<store::ObjectKey>& keys,
-                   const std::vector<store::ObjectKey>&) {
-  for (const auto& key : keys) read(key);
-  return {};
+                   const std::vector<store::ObjectKey>& speculative) {
+  if (keys.empty() && speculative.empty()) return {};
+  // The common case, every key on one group, needs no split.
+  const std::uint32_t first =
+      serving_group(keys.empty() ? speculative.front() : keys.front());
+  const auto on_first = [&](const store::ObjectKey& key) {
+    return serving_group(key) == first;
+  };
+  if (std::all_of(keys.begin(), keys.end(), on_first) &&
+      std::all_of(speculative.begin(), speculative.end(), on_first))
+    return group_tx(first).read_many(keys, speculative);
+
+  std::map<std::uint32_t, std::pair<std::vector<store::ObjectKey>,
+                                    std::vector<store::ObjectKey>>>
+      by_group;
+  for (const store::ObjectKey& key : keys)
+    by_group[serving_group(key)].first.push_back(key);
+  for (const store::ObjectKey& key : speculative)
+    by_group[serving_group(key)].second.push_back(key);
+  std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> spec;
+  for (const auto& [group, lists] : by_group) {
+    auto records = group_tx(group).read_many(lists.first, lists.second);
+    spec.insert(spec.end(), std::make_move_iterator(records.begin()),
+                std::make_move_iterator(records.end()));
+  }
+  return spec;
 }
 
 bool ShardTx::adopt_read(const store::ObjectKey& key,
                          const store::VersionedRecord& record) {
-  if (writes_.count(key) != 0 || reads_.count(key) != 0) return false;
-  reads_.emplace(key, record);
-  read_groups_.emplace(key, serving_group(key));
-  return true;
+  return group_tx(serving_group(key)).adopt_read(key, record);
 }
 
 void ShardTx::begin_nested() {
-  if (frame_)
+  if (depth_ >= 2)
     throw std::logic_error(
         "ShardTx::begin_nested: only one level of nesting is supported");
-  frame_ = buffered();
+  for (auto& [group, txn] : groups_) txn.begin_nested();
+  ++depth_;
 }
 
 void ShardTx::commit_nested() {
-  if (!frame_)
+  if (depth_ < 2)
     throw std::logic_error("ShardTx::commit_nested without begin_nested");
-  frame_.reset();
+  for (auto& [group, txn] : groups_) txn.commit_nested();
+  --depth_;
 }
 
 void ShardTx::abort_nested() {
-  if (!frame_)
+  if (depth_ < 2)
     throw std::logic_error("ShardTx::abort_nested without begin_nested");
-  restore(std::move(*frame_));
-  frame_.reset();
+  for (auto& [group, txn] : groups_) txn.abort_nested();
+  --depth_;
 }
 
 nesting::AbortScope ShardTx::classify(const dtm::TxAbort& abort) const {
-  if (!frame_) return nesting::AbortScope::kFull;
-  for (const auto& key : abort.invalid())
-    if (frame_->reads.count(key) != 0) return nesting::AbortScope::kFull;
-  return nesting::AbortScope::kPartial;
+  nesting::AbortScope scope = depth_ < 2 ? nesting::AbortScope::kFull
+                                         : nesting::AbortScope::kPartial;
+  for (const auto& [group, txn] : groups_)
+    if (txn.scope_of(abort) == nesting::AbortScope::kFull)
+      scope = nesting::AbortScope::kFull;
+  return nesting::count_classification(config_ ? config_->obs : nullptr,
+                                       scope);
 }
 
-void ShardTx::checkpoint() { checkpoints_.push_back(buffered()); }
+void ShardTx::checkpoint() {
+  for (auto& [group, txn] : groups_) txn.checkpoint();
+  ++checkpoint_count_;
+}
 
 bool ShardTx::restore_checkpoint(std::size_t index) {
   if (state_ != State::kActive) return false;
-  restore(std::move(checkpoints_.at(index)));
-  checkpoints_.resize(index);
+  for (auto& [group, txn] : groups_) txn.restore_checkpoint(index);
+  checkpoint_count_ = index;
   return true;
-}
-
-void ShardTx::restore(Checkpoint checkpoint) {
-  if (state_ != State::kActive)
-    throw std::logic_error("ShardTx::restore on a finished transaction");
-  reads_ = std::move(checkpoint.reads);
-  read_groups_ = std::move(checkpoint.read_groups);
-  writes_ = std::move(checkpoint.writes);
 }
 
 std::size_t ShardTx::prepare_all() {
   if (state_ != State::kActive)
     throw std::logic_error("ShardTx::prepare_all: not active");
 
-  // The authoritative participant set: the keys actually touched.  A
-  // mispredicted footprint escalates here — the transaction may have been
-  // *planned* single-shard, but it commits on the groups it really spans.
-  std::vector<store::ObjectKey> touched;
-  touched.reserve(reads_.size() + writes_.size());
-  for (const auto& [key, rec] : reads_) touched.push_back(key);
-  for (const auto& [key, value] : writes_) touched.push_back(key);
-  plan_ = owner_->router_.reclassify(predicted_, touched);
-
-  // Replicated-class reads were served by the home group; that group must
-  // participate (validate) even when no owned key pinned it to the plan.
-  for (const auto& [key, group] : read_groups_) {
-    if (std::binary_search(plan_.groups.begin(), plan_.groups.end(), group))
-      continue;
-    plan_.groups.insert(
-        std::upper_bound(plan_.groups.begin(), plan_.groups.end(), group),
-        group);
-  }
-  // Write-participant groups, sorted: more than one makes this transaction
-  // subject to decision records and in-doubt parking, and every prepare
-  // must carry the full set so any single group can find its siblings.
+  // Reclassify by the groups actually touched: a mispredicted footprint
+  // escalates here — the transaction may have been *planned* single-shard,
+  // but it commits on the groups it really spans.  A group opened by a
+  // Block or checkpoint that was rolled back holds nothing and stays out.
+  plan_.groups.clear();
   cross_groups_.clear();
-  for (const auto& [key, value] : writes_) {
-    const std::uint32_t group = serving_group(key);
-    const auto at =
-        std::lower_bound(cross_groups_.begin(), cross_groups_.end(), group);
-    if (at == cross_groups_.end() || *at != group)
-      cross_groups_.insert(at, group);
+  for (const auto& [group, txn] : groups_) {
+    if (!touched(txn)) continue;
+    plan_.groups.push_back(group);
+    // More than one write group makes this transaction subject to decision
+    // records and in-doubt parking, and every prepare must carry the full
+    // set so any single group can find its siblings.
+    if (txn.write_set_size() > 0) cross_groups_.push_back(group);
   }
+  if (plan_.groups.empty()) plan_.groups.push_back(predicted_.home());
+  const std::vector<std::uint32_t> no_participants;
+  const std::vector<std::uint32_t>& participants =
+      cross_groups_.size() > 1 ? cross_groups_ : no_participants;
 
+  std::size_t held = 0;
   try {
-    // Ascending group order (plan_.groups is sorted): deterministic across
+    // Ascending group order (groups_ is sorted): deterministic across
     // coordinators, so two cross-shard transactions always claim groups in
     // the same order and cannot hold-and-wait on each other in reverse.
-    for (const std::uint32_t group : plan_.groups) {
-      std::vector<store::ObjectKey> write_keys;   // std::map iterates sorted
-      std::vector<store::Record> values;
-      std::vector<store::Version> read_versions;
-      for (const auto& [key, value] : writes_) {
-        if (serving_group(key) != group) continue;
-        write_keys.push_back(key);
-        values.push_back(value);
-        const auto rit = reads_.find(key);
-        read_versions.push_back(rit != reads_.end() ? rit->second.version : 0);
-      }
-      const auto checks = group_checks(group);
-      if (write_keys.empty()) {
-        // Read-only participant: nothing to protect, but the snapshot this
-        // transaction read from the group must still be current at commit.
-        owner_->stub(group).validate(tx_, checks);
-        continue;
-      }
-      dtm::PrepareExtras extras;
-      if (cross_groups_.size() > 1) {
-        extras.participants = cross_groups_;
-        extras.coordinator = owner_->client_node_;
-        extras.values = values;
-      }
-      PreparedGroup prepared;
-      prepared.group = group;
-      prepared.ticket = owner_->stub(group).prepare(tx_, checks, write_keys,
-                                                    read_versions, extras);
-      prepared.values = std::move(values);
-      prepared_.push_back(std::move(prepared));
+    // Read-only groups run their final validation round instead.
+    for (auto& [group, txn] : groups_) {
+      if (!touched(txn)) continue;
+      txn.prepare(participants, owner_->client_node_);
+      if (txn.ticket() != nullptr) ++held;
     }
   } catch (...) {
     // One group refused (conflict, busy, unreachable): release every
@@ -233,15 +235,16 @@ std::size_t ShardTx::prepare_all() {
     throw;
   }
   state_ = State::kPrepared;
-  return prepared_.size();
+  return held;
 }
 
 std::vector<std::pair<store::ObjectKey, store::Version>>
 ShardTx::prepared_writes() const {
   std::vector<std::pair<store::ObjectKey, store::Version>> writes;
-  for (const PreparedGroup& p : prepared_)
-    for (std::size_t k = 0; k < p.ticket.keys.size(); ++k)
-      writes.push_back({p.ticket.keys[k], p.ticket.new_versions[k]});
+  for (const auto& [group, txn] : groups_)
+    if (const dtm::PrepareTicket* ticket = txn.ticket())
+      for (std::size_t k = 0; k < ticket->keys.size(); ++k)
+        writes.push_back({ticket->keys[k], ticket->new_versions[k]});
   return writes;
 }
 
@@ -254,14 +257,16 @@ void ShardTx::commit_prepared() {
   // own).  From this point the transaction's outcome is commit no matter
   // what happens to this coordinator — an unreachable group becomes an
   // in-doubt handoff, never a reason to abort.
-  const bool multi_group = prepared_.size() > 1;
-  const auto installs = prepared_writes();
+  const bool multi_group = cross_groups_.size() > 1;
+  std::vector<std::pair<store::ObjectKey, store::Version>> installs;
+  if (multi_group || owner_->history_ != nullptr) installs = prepared_writes();
   if (multi_group) {
     std::vector<dtm::CommitRequest> pushes;
-    pushes.reserve(prepared_.size());
-    for (const PreparedGroup& p : prepared_)
-      pushes.push_back(
-          {tx_, p.ticket.keys, p.values, p.ticket.new_versions, p.group});
+    pushes.reserve(cross_groups_.size());
+    for (const auto& [group, txn] : groups_)
+      if (const dtm::PrepareTicket* ticket = txn.ticket())
+        pushes.push_back({tx_, ticket->keys, txn.prepared_values(),
+                          ticket->new_versions, group});
     if (!owner_->decisions_->record_commit(tx_, std::move(pushes))) {
       // The outcome was already sealed as abort — this coordinator served
       // presumed abort to a querier (its leases were resolved away while it
@@ -270,11 +275,8 @@ void ShardTx::commit_prepared() {
       // aborts instead: release whatever the servers still hold.
       std::vector<store::ObjectKey> keys;
       for (const auto& [key, version] : installs) keys.push_back(key);
-      for (const PreparedGroup& prepared : prepared_)
-        owner_->stub(prepared.group).abort(prepared.ticket);
-      prepared_.clear();
-      state_ = State::kFinished;
-      owner_->stats_.aborts.fetch_add(1, std::memory_order_relaxed);
+      for (auto& [group, txn] : groups_) txn.abort_prepared();
+      fail_commit();
       throw dtm::TxAbort(dtm::AbortKind::kBusy, std::move(keys),
                          dtm::AbortDetail::kLeaseExpired);
     }
@@ -285,12 +287,10 @@ void ShardTx::commit_prepared() {
   }
 
   std::exception_ptr failure;
-  std::size_t installed = 0;
-  for (std::size_t i = 0; i < prepared_.size(); ++i) {
+  for (auto& [group, txn] : groups_) {
+    if (txn.ticket() == nullptr) continue;
     try {
-      owner_->stub(prepared_[i].group)
-          .commit(prepared_[i].ticket, prepared_[i].values);
-      ++installed;
+      txn.commit_prepared();
     } catch (const dtm::TxAbort& abort) {
       if (multi_group && abort.detail() != dtm::AbortDetail::kLeaseExpired) {
         // Unreachable after bounded retries, with the commit decision
@@ -300,7 +300,6 @@ void ShardTx::commit_prepared() {
         // verdict), so the transaction still counts as committed.
         owner_->stats_.indoubt_handoffs.fetch_add(1,
                                                   std::memory_order_relaxed);
-        ++installed;
         continue;
       }
       failure = std::current_exception();
@@ -314,43 +313,29 @@ void ShardTx::commit_prepared() {
         continue;
       }
       // Single prepared group: nothing installed anywhere else, so the
-      // abort is still atomic — release any remaining tickets and surface.
-      if (installed == 0) {
-        for (std::size_t j = i + 1; j < prepared_.size(); ++j)
-          owner_->stub(prepared_[j].group).abort(prepared_[j].ticket);
-        break;
-      }
+      // abort is still atomic — surface it.
+      break;
     } catch (...) {
       failure = std::current_exception();
-      if (installed == 0 && !multi_group) {
-        for (std::size_t j = i + 1; j < prepared_.size(); ++j)
-          owner_->stub(prepared_[j].group).abort(prepared_[j].ticket);
-        break;
-      }
+      if (!multi_group) break;
     }
   }
-  prepared_.clear();
-  state_ = State::kFinished;
   if (failure) {
-    owner_->stats_.aborts.fetch_add(1, std::memory_order_relaxed);
+    fail_commit();
     std::rethrow_exception(failure);
   }
+  state_ = State::kFinished;
 
   if (owner_->history_ != nullptr) {
     nesting::CommittedTxn entry;
     entry.tx = tx_;
-    for (const auto& [key, rec] : reads_)
-      entry.reads.push_back({key, rec.version});
+    for (const auto& [group, txn] : groups_)
+      for (const dtm::VersionCheck& read : txn.all_version_checks())
+        entry.reads.push_back({read.key, read.version});
     entry.writes = installs;
     owner_->history_->record(std::move(entry));
   }
-
-  owner_->router_.note_commit(plan_);
-  if (plan_.single_shard())
-    owner_->stats_.single_shard_commits.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  else
-    owner_->stats_.cross_shard_commits.fetch_add(1, std::memory_order_relaxed);
+  owner_->note_commit(predicted_, plan_);
 }
 
 void ShardTx::abort_prepared() {
@@ -363,22 +348,39 @@ void ShardTx::abort_prepared() {
   // checker could not tell a leaked install from an honest rival.  Commit
   // entries have no such ambiguity — their versions are installed or held
   // under protection until termination installs them.
-  if (cross_groups_.size() > 1 && !prepared_.empty())
+  const bool holds_tickets =
+      std::any_of(groups_.begin(), groups_.end(), [](const auto& entry) {
+        return entry.second.ticket() != nullptr;
+      });
+  if (cross_groups_.size() > 1 && holds_tickets)
     owner_->decisions_->record_abort(tx_);
-  for (const PreparedGroup& prepared : prepared_)
-    owner_->stub(prepared.group).abort(prepared.ticket);
-  prepared_.clear();
+  for (auto& [group, txn] : groups_) txn.abort_prepared();
 }
 
 void ShardTx::commit() {
+  obs::Tracer::Span commit_span;
+  if (config_ != nullptr && config_->obs != nullptr)
+    commit_span.restart(&config_->obs->tracer, "tx.commit_phase", "tx", tx_);
   try {
     prepare_all();
   } catch (...) {
-    state_ = State::kFinished;
-    owner_->stats_.aborts.fetch_add(1, std::memory_order_relaxed);
+    fail_commit();
     throw;
   }
   commit_prepared();
+}
+
+void ShardTx::fail_commit() {
+  // At most one write group: no decision record was written and every
+  // ticket is released (or spent), so — like a lone Transaction whose
+  // commit failed — the handle may still roll back to a checkpoint and
+  // commit again under the same TxId.  abort() ends (and counts) it.
+  if (cross_groups_.size() <= 1) {
+    state_ = State::kActive;
+    return;
+  }
+  state_ = State::kFinished;
+  owner_->stats_.aborts.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardTx::abort() {

@@ -1,25 +1,28 @@
-// Cross-shard transactions: the single-shard fast path and 2PC across
-// quorum groups.
+// Transactions over a sharded cluster: one context per transaction, and
+// 2PC across quorum groups when it spans several.
 //
 // A CrossShardCoordinator is one client's gateway to a sharded cluster: it
 // holds one QuorumStub per quorum group (all sharing the client's network
-// identity) and hands out ShardTx handles.  A ShardTx buffers writes
-// locally (read-your-writes), routes every read to the owning group's read
-// quorum with incremental validation against the reads already made on
-// that group, and at commit() classifies itself by the keys it ACTUALLY
-// touched (ShardRouter::reclassify — the predicted footprint only picks
-// the expected plan, it never decides the commit):
+// identity) and hands out ShardTx handles.  A ShardTx is a router: every
+// access goes to the nesting::Transaction of the key's serving group,
+// opened under the handle's TxId on the group's first access.  The group
+// Transactions hold the read/write sets, the Block frames and the
+// checkpoints; they validate each read against the reads already made on
+// their group, batch reads and piggyback contention queries.  At commit()
+// the ShardTx classifies itself by the groups it ACTUALLY touched (the
+// predicted footprint only picks the home group, it never decides the
+// commit):
 //
-//   * single-shard — every key lives on one group: the commit is exactly
-//     the pre-sharding path, one prepare + one commit round on that
-//     group's write quorum.  No other group hears about the transaction.
-//   * multi-shard — 2PC with the coordinator as the (unreplicated)
+//   * one group — that group's Transaction commits as it would on its own:
+//     one prepare + one commit round on the group's write quorum (one
+//     validation round if read-only).  No other group hears about it.
+//   * several groups — 2PC with the coordinator as the (unreplicated)
 //     transaction manager: phase 1 prepares every write group (ascending
 //     group order — deterministic, so two coordinators cannot deadlock
 //     across groups) and validates read-only groups; phase 2 commits each
 //     prepared group.  Any phase-1 failure aborts every acquired ticket.
 //
-// Coordinator crash tolerance (PR 8) is layered:
+// Coordinator crash tolerance is layered:
 //   * between prepares, presumed abort still rules — a single-write-group
 //     prepare carries no cross-shard metadata, its lease expires, and a
 //     late phase 2 is refused kExpired;
@@ -44,7 +47,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/acn/executor.hpp"
@@ -52,6 +54,7 @@
 #include "src/harness/cluster.hpp"
 #include "src/nesting/context.hpp"
 #include "src/nesting/history.hpp"
+#include "src/nesting/transaction.hpp"
 #include "src/shard/decision_log.hpp"
 #include "src/shard/router.hpp"
 
@@ -60,6 +63,8 @@ namespace acn::shard {
 struct CoordinatorStats {
   std::atomic<std::uint64_t> single_shard_commits{0};
   std::atomic<std::uint64_t> cross_shard_commits{0};
+  /// Handles finished without committing: abort(), or a failed commit that
+  /// had written a decision record.
   std::atomic<std::uint64_t> aborts{0};
   /// Atomicity breaches: a group refused phase 2 outright (kExpired) after
   /// the commit decision was durably recorded — some other group installed
@@ -75,70 +80,61 @@ struct CoordinatorStats {
 
 class CrossShardCoordinator;
 
-/// One transaction against the sharded keyspace, and the context an
-/// acn::Executor drives on the cross-shard path.  Not thread-safe; one
+/// One transaction against the sharded keyspace, and the context
+/// shard::Client's Executor drives.  Each group Transaction is opened at
+/// the handle's current frame depth and checkpoint count, so the frame and
+/// checkpoint calls below apply to every group alike.  Not thread-safe; one
 /// client thread drives a ShardTx from begin to commit/abort.
 class ShardTx final : public nesting::TxContext {
  public:
-  /// Read `key` from its owning group (read-your-writes: a buffered write
-  /// or prior read of the key is served locally).  Replicated-class keys
-  /// are served by the transaction's home group — every group holds them,
-  /// so the read never widens the participant set.  Throws what
-  /// QuorumStub::read throws.
+  /// Read `key` through its serving group's Transaction (read-your-writes,
+  /// incremental validation within the group).  Replicated-class keys are
+  /// served by the transaction's home group — every group holds them, so
+  /// the read never widens the participant set.  Throws what
+  /// Transaction::read throws.
   store::Record read(const store::ObjectKey& key) override;
 
-  /// Buffer a write; nothing goes remote until commit().  Writes to
+  /// Transaction::write (the key must have been read first) and
+  /// Transaction::insert (a blind write) on the serving group.  Writes to
   /// replicated classes are refused (std::logic_error) — the groups'
   /// copies would silently diverge.
   void write(const store::ObjectKey& key, store::Record value) override;
+  void insert(const store::ObjectKey& key, store::Record value) override;
 
-  /// Prepare validates read checks only, never write versions, so a
-  /// buffered write with no prior read IS a blind insert.
-  void insert(const store::ObjectKey& key, store::Record value) override {
-    write(key, std::move(value));
-  }
-
-  /// Reads `keys` one at a time (batching per group is not implemented)
-  /// and fetches nothing speculatively.
+  /// Splits both lists by serving group and calls each group's
+  /// Transaction::read_many once, in ascending group order: one read round
+  /// per group.  Returns every group's speculative records.
   std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> read_many(
       const std::vector<store::ObjectKey>& keys,
       const std::vector<store::ObjectKey>& speculative) override;
   bool adopt_read(const store::ObjectKey& key,
                   const store::VersionedRecord& record) override;
 
-  /// The Block frame is one saved copy of the buffered sets: abort_nested
-  /// puts it back, and an abort is partial iff none of its invalidated keys
-  /// was read before the frame began.
   void begin_nested() override;
   void commit_nested() override;
   void abort_nested() override;
+  /// Partial iff a frame is open and no group Transaction holds an
+  /// invalidated key below it.  Counted once, not once per group.
   nesting::AbortScope classify(const dtm::TxAbort& abort) const override;
 
-  /// Checkpoints are saved copies too.  A finished handle (its commit
-  /// failed and released everything) cannot roll back.
+  /// Returns false once the handle is finished.  The Executor never
+  /// checkpoints inside a Block frame.
   void checkpoint() override;
   bool restore_checkpoint(std::size_t index) override;
 
-  /// The buffered read/write-sets, as restore() installs them.
-  struct Checkpoint {
-    std::map<store::ObjectKey, store::VersionedRecord> reads;
-    std::map<store::ObjectKey, std::uint32_t> read_groups;
-    std::map<store::ObjectKey, store::Record> writes;
-  };
-  /// Replace the buffered state (kActive only).  The epoch lane installs an
-  /// epoch's combined read and write sets this way before committing.
-  void restore(Checkpoint checkpoint);
-
-  /// Classify by the keys actually touched and run the single-shard fast
-  /// path or cross-shard 2PC.  Throws TxAbort on conflict/expiry (the
-  /// transaction is then fully released) and leaves the handle finished.
+  /// prepare_all(), then commit_prepared().  Throws TxAbort on
+  /// conflict/expiry, with the transaction fully released.  With at most
+  /// one write group (no decision record) the handle stays active, as a
+  /// lone Transaction does: it may restore a checkpoint and commit again.
+  /// Otherwise the handle is finished.
   void commit() override;
 
   /// Release anything prepared and finish the handle.  Safe to call in any
   /// state; idempotent.
   void abort() override;
 
-  // -- test hooks: drive 2PC phase by phase (coordinator-crash tests) ------
+  // -- 2PC phase by phase (commit() composes them; coordinator-crash tests
+  //    drive them one at a time) ------------------------------------------
   /// Phase 1 only: classify, prepare every write group, validate read-only
   /// groups.  Returns the number of groups holding a prepare ticket.
   /// Abandoning the handle after this call models a coordinator crash
@@ -157,7 +153,7 @@ class ShardTx final : public nesting::TxContext {
 
   dtm::TxId id() const noexcept override { return tx_; }
   const RoutePlan& predicted() const noexcept { return predicted_; }
-  /// The reclassified plan; meaningful after prepare_all()/commit().
+  /// The groups actually touched; meaningful after prepare_all()/commit().
   const RoutePlan& committed_plan() const noexcept { return plan_; }
 
  private:
@@ -165,23 +161,27 @@ class ShardTx final : public nesting::TxContext {
 
   enum class State { kActive, kPrepared, kFinished };
 
-  struct PreparedGroup {
-    std::uint32_t group = 0;
-    dtm::PrepareTicket ticket;
-    std::vector<store::Record> values;  // aligned with ticket.keys
-  };
+  ShardTx(CrossShardCoordinator* owner, dtm::TxId tx, RoutePlan predicted,
+          const acn::ExecutorConfig* config)
+      : owner_(owner),
+        config_(config),
+        tx_(tx),
+        predicted_(std::move(predicted)) {}
 
-  ShardTx(CrossShardCoordinator* owner, dtm::TxId tx, RoutePlan predicted)
-      : owner_(owner), tx_(tx), predicted_(std::move(predicted)) {}
-
-  std::vector<dtm::VersionCheck> group_checks(std::uint32_t group) const;
-  Checkpoint buffered() const { return {reads_, read_groups_, writes_}; }
-
-  /// The group a read of `key` would be (or was) served by: the owner, or
-  /// the home group for replicated classes.
+  /// The group that serves `key`: the owner, or the home group for
+  /// replicated classes.
   std::uint32_t serving_group(const store::ObjectKey& key) const;
+  /// `group`'s Transaction, opened (and armed) on first use.
+  nesting::Transaction& group_tx(std::uint32_t group);
+  /// The serving group's Transaction for a write, after the
+  /// replicated-class refusal.
+  nesting::Transaction& write_tx(const store::ObjectKey& key);
+  /// State after a failed commit (see commit()).
+  void fail_commit();
 
   CrossShardCoordinator* owner_ = nullptr;
+  /// The run's config the group Transactions are armed with (null: none).
+  const acn::ExecutorConfig* config_ = nullptr;
   dtm::TxId tx_ = 0;
   RoutePlan predicted_;
   RoutePlan plan_;
@@ -189,18 +189,16 @@ class ShardTx final : public nesting::TxContext {
   /// to decision records and in-doubt parking.  Set by prepare_all().
   std::vector<std::uint32_t> cross_groups_;
   State state_ = State::kActive;
-  std::map<store::ObjectKey, store::VersionedRecord> reads_;
-  /// Which group served each read (validation must go back to it).
-  std::map<store::ObjectKey, std::uint32_t> read_groups_;
-  std::map<store::ObjectKey, store::Record> writes_;
-  std::vector<PreparedGroup> prepared_;
-  /// The open Block frame's saved state, and the saved checkpoints.
-  std::optional<Checkpoint> frame_;
-  std::vector<Checkpoint> checkpoints_;
+  /// One Transaction per group touched, in ascending group order.
+  std::map<std::uint32_t, nesting::Transaction> groups_;
+  /// Open frames (1 outside a Block) and checkpoints taken: where a group
+  /// opened later starts.
+  std::size_t depth_ = 1;
+  std::size_t checkpoint_count_ = 0;
 };
 
 /// An acn::Executor built over a coordinator runs every attempt in a
-/// ShardTx: the cross-shard path of shard::Client.
+/// ShardTx: shard::Client's one optimistic path.
 class CrossShardCoordinator final : public acn::ContextSource {
  public:
   /// `client_ordinal` is the client's network identity (shared by all the
@@ -216,16 +214,26 @@ class CrossShardCoordinator final : public acn::ContextSource {
 
   /// Start a transaction; `predicted` seeds the route plan (pass
   /// acn::predicted_footprint output, or {} when nothing is predictable).
-  ShardTx begin(const KeyFootprint& predicted = {});
+  /// `config` (which must outlive the handle) arms its group Transactions.
+  ShardTx begin(const KeyFootprint& predicted = {},
+                const acn::ExecutorConfig* config = nullptr);
 
   /// begin(), as a context an Executor owns.
   std::unique_ptr<nesting::TxContext> open(
-      const KeyFootprint& predicted) override {
-    return std::make_unique<ShardTx>(begin(predicted));
+      const KeyFootprint& predicted,
+      const acn::ExecutorConfig& config) override {
+    return std::make_unique<ShardTx>(begin(predicted, &config));
   }
 
   const ShardRouter& router() const noexcept { return router_; }
   const CoordinatorStats& stats() const noexcept { return stats_; }
+
+  /// How the last ShardTx this coordinator committed was routed.
+  struct CommitRoute {
+    bool predicted_single = false;  // its predicted plan had one group
+    bool single = false;            // it committed on one group
+  };
+  const CommitRoute& last_commit() const noexcept { return last_commit_; }
 
   /// The decision records (shared with the network handler, which keeps
   /// them answerable after this object dies — a coordinator "crash" in the
@@ -247,6 +255,8 @@ class CrossShardCoordinator final : public acn::ContextSource {
   friend class ShardTx;
 
   dtm::QuorumStub& stub(std::uint32_t group) { return stubs_.at(group); }
+  /// Commit-side accounting, once per committed ShardTx.
+  void note_commit(const RoutePlan& predicted, const RoutePlan& committed);
 
   const ShardRouter& router_;
   std::vector<dtm::QuorumStub> stubs_;  // indexed by group
@@ -255,6 +265,7 @@ class CrossShardCoordinator final : public acn::ContextSource {
   nesting::HistoryLog* history_ = nullptr;
   nesting::CrossShardLog* cross_log_ = nullptr;
   CoordinatorStats stats_;
+  CommitRoute last_commit_;
   std::uint64_t tx_base_ = 0;
   std::atomic<std::uint64_t> tx_seq_{0};
 };

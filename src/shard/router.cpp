@@ -8,53 +8,20 @@ RoutePlan ShardRouter::plan(const KeyFootprint& predicted) const {
   RoutePlan out;
   out.groups = map_.shards_touched(predicted);
   // A transaction with no predictable keys still needs a home; group 0 is
-  // as good as any, and reclassify() will escalate if the real keys
-  // disagree.
+  // as good as any, and its reads go to whichever groups own their keys.
   if (out.groups.empty()) out.groups.push_back(0);
-  if (out.single_shard())
-    planned_single_.fetch_add(1, std::memory_order_relaxed);
-  else
-    planned_multi_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 
-RoutePlan ShardRouter::reclassify(
-    const RoutePlan& predicted,
-    const std::vector<store::ObjectKey>& touched) const {
-  RoutePlan actual;
-  actual.groups.reserve(touched.size());
-  // Replicated-class keys never force a group: they are served by whichever
-  // participant the transaction already has (ShardTx pins them to its home).
-  for (const store::ObjectKey& key : touched)
-    if (!map_.replicated(key.cls)) actual.groups.push_back(map_.shard_of(key));
-  std::sort(actual.groups.begin(), actual.groups.end());
-  actual.groups.erase(std::unique(actual.groups.begin(), actual.groups.end()),
-                      actual.groups.end());
-  if (actual.groups.empty()) actual.groups = predicted.groups;
-
-  for (const std::uint32_t g : actual.groups) {
-    if (!std::binary_search(predicted.groups.begin(), predicted.groups.end(),
-                            g)) {
-      mispredicted_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-  }
-  return actual;
-}
-
-void ShardRouter::note_commit(const RoutePlan& plan) const {
-  if (plan.single_shard())
-    committed_single_.fetch_add(1, std::memory_order_relaxed);
-  else
-    committed_multi_.fetch_add(1, std::memory_order_relaxed);
+void ShardRouter::count_misprediction(const RoutePlan& predicted,
+                                      const RoutePlan& committed) const {
+  if (!std::includes(predicted.groups.begin(), predicted.groups.end(),
+                     committed.groups.begin(), committed.groups.end()))
+    mispredicted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 RouterStats ShardRouter::stats() const {
   RouterStats out;
-  out.planned_single = planned_single_.load(std::memory_order_relaxed);
-  out.planned_multi = planned_multi_.load(std::memory_order_relaxed);
-  out.committed_single = committed_single_.load(std::memory_order_relaxed);
-  out.committed_multi = committed_multi_.load(std::memory_order_relaxed);
   out.mispredicted = mispredicted_.load(std::memory_order_relaxed);
   return out;
 }

@@ -1,24 +1,18 @@
 // Footprint-based shard routing.
 //
 // The router classifies a transaction by the quorum groups its keys live
-// on.  It runs twice per transaction:
+// on.  plan() runs at the start of every attempt (CrossShardCoordinator::
+// begin), over the *predicted* footprint — the same acn::predicted_footprint
+// signal the contention scheduler consumes.  The plan's home group serves
+// the transaction's replicated-class reads.
 //
-//   * plan() at submission, over the *predicted* footprint (the same
-//     acn::predicted_footprint signal the contention scheduler consumes).
-//     A one-group plan makes the transaction a single-shard candidate —
-//     the common case partition-oriented planning is designed to make
-//     cheap.
-//   * reclassify() at commit, over the keys the transaction *actually*
-//     read and wrote.  Predictions are blind to keys produced
-//     mid-transaction, so the actual set is authoritative: if it spans
-//     groups the prediction missed, the transaction is escalated to
-//     cross-shard 2PC and the mispredict counter records the escape.  The
-//     reverse (predicted groups never touched) is harmless over-prediction
-//     and escalates nothing.
-//
-// A transaction is NEVER committed single-shard on the strength of the
-// prediction alone — that would install a multi-group transaction on one
-// group and silently drop the rest.
+// The plan never decides the commit: a ShardTx reads every key from the
+// group that owns it and commits on the groups it ACTUALLY touched.
+// Predictions are blind to keys produced mid-transaction, so a pointer
+// chase onto another group's key simply makes the commit a 2PC across both;
+// count_misprediction() records that escape once per committed
+// transaction.  The reverse (predicted groups never touched) is harmless
+// over-prediction and counts nothing.
 #pragma once
 
 #include <atomic>
@@ -44,11 +38,8 @@ struct RoutePlan {
 };
 
 struct RouterStats {
-  std::uint64_t planned_single = 0;  // plan(): one predicted group
-  std::uint64_t planned_multi = 0;   // plan(): several predicted groups
-  std::uint64_t committed_single = 0;
-  std::uint64_t committed_multi = 0;
-  /// reclassify() found a group the prediction missed (escalation).
+  /// Committed transactions whose plan spans a group the prediction
+  /// missed.
   std::uint64_t mispredicted = 0;
 };
 
@@ -61,23 +52,15 @@ class ShardRouter {
   /// Classify a predicted footprint into a participant-group plan.
   RoutePlan plan(const KeyFootprint& predicted) const;
 
-  /// The authoritative plan at commit time, from the keys actually
-  /// touched.  Bumps `mispredicted` when `predicted` missed a group; the
-  /// actual groups always win.
-  RoutePlan reclassify(const RoutePlan& predicted,
-                       const std::vector<store::ObjectKey>& touched) const;
-
-  /// Commit-side accounting (the coordinator calls this once per commit).
-  void note_commit(const RoutePlan& plan) const;
+  /// Count one committed transaction whose `committed` plan spans a group
+  /// `predicted` missed (both plans sorted).
+  void count_misprediction(const RoutePlan& predicted,
+                           const RoutePlan& committed) const;
 
   RouterStats stats() const;
 
  private:
   const ShardMap& map_;
-  mutable std::atomic<std::uint64_t> planned_single_{0};
-  mutable std::atomic<std::uint64_t> planned_multi_{0};
-  mutable std::atomic<std::uint64_t> committed_single_{0};
-  mutable std::atomic<std::uint64_t> committed_multi_{0};
   mutable std::atomic<std::uint64_t> mispredicted_{0};
 };
 

@@ -1,13 +1,15 @@
 // shard::Client — the unified submission API over a sharded cluster.
-// Covers: single-shard fast-path purity (no other group hears anything),
-// misprediction escalation (fast-path ObjectMissing on a foreign-owned key
-// re-runs cross-shard and commits; a genuinely absent key stays a workload
-// bug), admission gating of the cross-shard path (the same
-// admit / on_full_abort / finish conversation the Executor has, with 2PC
-// aborts classified through the shared acn::outcome_of), a 2PC abort
-// restarting a checkpointed run in full, manual-CN block execution across
-// shards, and ClientFleet building a custom/replicated ShardMap from a
-// workload's placement.
+// Covers: single-shard purity (no other group hears anything), a
+// mispredicted footprint (a pointer chase onto another group's key) that
+// commits by 2PC without a re-run and with one scheduler conversation,
+// misprediction counted once per committed transaction, a genuinely absent
+// key staying a workload bug, admission gating of the cross-shard path
+// (the same admit / on_full_abort / finish conversation the Executor has,
+// with 2PC aborts classified through the shared acn::outcome_of), a 2PC
+// abort restarting a checkpointed run in full, manual-CN block execution
+// across shards, one batched read round per group a Block reads, and
+// ClientFleet building a custom/replicated ShardMap from a workload's
+// placement.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -115,8 +117,9 @@ ir::TxProgram transfer_program(std::function<void()> hook = {}) {
 
 /// A pointer chase: the second key comes from a value the first read
 /// produced, so the predicted footprint sees only the home key and the
-/// router plans single-shard — the misprediction shape.
-ir::TxProgram chase_program() {
+/// router plans single-shard — the misprediction shape.  `hook` (when set)
+/// runs inside the final local op, as in transfer_program.
+ir::TxProgram chase_program(std::function<void()> hook = {}) {
   ProgramBuilder b("client.chase", 1);
   const VarId p = b.param(0);
   const VarId home = b.remote_read(
@@ -135,7 +138,8 @@ ir::TxProgram chase_program() {
       },
       "read away", /*for_write=*/true);
   b.local({home, away}, {home, away},
-          [home, away](TxEnv& e) {
+          [home, away, hook](TxEnv& e) {
+            if (hook) hook();
             Record h = e.get(home);
             Record a = e.get(away);
             h[0] -= 5;
@@ -200,7 +204,7 @@ TEST(Client, SingleShardFastPathNeverTouchesOtherGroups) {
   }
 }
 
-TEST(Client, MispredictionEscalatesToCrossShardAndCommits) {
+TEST(Client, MispredictionCommitsWithoutReRunOrSecondAdmit) {
   harness::Cluster cluster(fast_cluster(2));
   const ShardMap map = range_map(2);
   ShardRouter router(map);
@@ -212,18 +216,27 @@ TEST(Client, MispredictionEscalatesToCrossShardAndCommits) {
   ClientStats stats;
   Client client(cluster, router, stats, 0, fast_executor(), 11);
   const auto program = chase_program();
+  FakeGate gate;
+  acn::RunOptions options = acn::with_program(program);
+  options.scheduler = &gate;
   acn::ExecStats es;
-  client.run(harness::Protocol::kFlat, acn::with_program(program),
-             {Record{5}}, es);
+  client.run(harness::Protocol::kFlat, options, {Record{5}}, es);
 
-  // Planned single-shard, surfaced ObjectMissing on the foreign key,
-  // re-ran cross-shard, committed by 2PC on both groups.
+  // Planned single-shard; the foreign key was read from group 1, which
+  // owns it, and the commit ran 2PC on both groups — in the one run the
+  // gate admitted.
   EXPECT_EQ(es.commits, 1u);
-  EXPECT_EQ(stats.fast_path.load(), 1u);
+  EXPECT_EQ(es.full_aborts, 0u);
+  EXPECT_EQ(gate.admits, 1);
+  EXPECT_EQ(gate.finishes, 1);
+  EXPECT_EQ(gate.last_outcome, acn::TxOutcome::kCommitted);
+  EXPECT_EQ(stats.fast_path.load(), 0u);
   EXPECT_EQ(stats.escalations.load(), 1u);
   EXPECT_EQ(stats.cross_shard.load(), 1u);
-  EXPECT_EQ(stats.cross_commits.load(), 1u);
   EXPECT_EQ(router.stats().mispredicted, 1u);
+  // No re-run: group 0 served the home key once, and nothing else.
+  for (dtm::Server* server : cluster.group_servers(0))
+    EXPECT_LE(server->stats().reads.load(), 1u);
   EXPECT_EQ(latest_sharded(cluster, map, {1, 5}).value.fields[0], 45);
   EXPECT_EQ(latest_sharded(cluster, map, {1, 105}).value.fields[0], 55);
   // Nothing half-done: no open lease or protected key anywhere.
@@ -231,6 +244,42 @@ TEST(Client, MispredictionEscalatesToCrossShardAndCommits) {
     EXPECT_EQ(server->open_lease_count(), 0u);
     EXPECT_EQ(server->store().protected_count(), 0u);
   }
+}
+
+TEST(Client, MispredictionCountsOncePerCommittedTransaction) {
+  harness::Cluster cluster(fast_cluster(2));
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  const ObjectKey home{1, 5}, away{1, 105};
+  seed_sharded(cluster, map, home, Record{50, 105});
+  seed_sharded(cluster, map, away, Record{50, 0});
+
+  // On the first attempt only, a rival commits a new version of the away
+  // key after the chase read it: that attempt's prepare is refused, the
+  // retry commits.  Two commit attempts, one committed transaction.
+  CrossShardCoordinator rival(cluster, router, /*client_ordinal=*/9);
+  bool rival_fired = false;
+  const auto program = chase_program([&] {
+    if (rival_fired) return;
+    rival_fired = true;
+    ShardTx tx = rival.begin({{away, true}});
+    tx.insert(away, Record{900, 0});
+    tx.commit();
+  });
+
+  ClientStats stats;
+  Client client(cluster, router, stats, 0, fast_executor(), 29);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kFlat, acn::with_program(program),
+             {Record{5}}, es);
+
+  EXPECT_EQ(es.commits, 1u);
+  EXPECT_EQ(es.aborts_at_commit, 1u);
+  EXPECT_EQ(router.stats().mispredicted, 1u);
+  EXPECT_EQ(stats.escalations.load(), 1u);
+  EXPECT_EQ(stats.cross_shard.load(), 1u);
+  EXPECT_EQ(latest_sharded(cluster, map, home).value.fields[0], 45);
+  EXPECT_EQ(latest_sharded(cluster, map, away).value.fields[0], 905);
 }
 
 TEST(Client, GenuinelyMissingKeyIsNotAnEscalation) {
@@ -270,7 +319,7 @@ TEST(Client, CrossShardPathIsAdmissionGatedAndClassifiesAborts) {
     KeyFootprint footprint;
     footprint.push_back({dst, true});
     ShardTx tx = rival.begin(footprint);
-    tx.write(dst, Record{999});
+    tx.insert(dst, Record{999});
     tx.commit();
   });
 
@@ -286,7 +335,6 @@ TEST(Client, CrossShardPathIsAdmissionGatedAndClassifiesAborts) {
   EXPECT_EQ(es.full_aborts, 1u);
   EXPECT_EQ(es.aborts_at_commit, 1u);
   EXPECT_EQ(stats.cross_shard.load(), 1u);
-  EXPECT_EQ(stats.cross_commits.load(), 1u);
 
   // One admit (with the full predicted footprint), one classified abort,
   // one finish(kCommitted) — the Executor's exact gate conversation.
@@ -321,7 +369,7 @@ TEST(Client, CrossShardCommitAbortRestartsCheckpointedRunInFull) {
     if (rival_fired) return;
     rival_fired = true;
     ShardTx tx = rival.begin({{dst, true}});
-    tx.write(dst, Record{999});
+    tx.insert(dst, Record{999});
     tx.commit();
   });
 
@@ -335,7 +383,7 @@ TEST(Client, CrossShardCommitAbortRestartsCheckpointedRunInFull) {
   EXPECT_EQ(es.aborts_at_commit, 1u);
   EXPECT_EQ(es.full_aborts, 1u);
   EXPECT_EQ(es.checkpoint_restores, 0u);
-  EXPECT_EQ(stats.cross_commits.load(), 1u);
+  EXPECT_EQ(stats.cross_shard.load(), 1u);
   EXPECT_EQ(latest_sharded(cluster, map, dst).value.fields[0], 999 + 75);
 }
 
@@ -376,9 +424,83 @@ TEST(Client, ManualCnBlocksExecuteAcrossShards) {
 
   EXPECT_EQ(es.commits, 1u);
   EXPECT_GE(es.blocks_executed, sequence.size());
-  EXPECT_EQ(stats.cross_commits.load(), 1u);
+  EXPECT_EQ(stats.cross_shard.load(), 1u);
   EXPECT_EQ(latest_sharded(cluster, map, {1, 5}).value.fields[0], 425);
   EXPECT_EQ(latest_sharded(cluster, map, {1, 105}).value.fields[0], 575);
+}
+
+struct BatchedBlockRun {
+  std::uint64_t batched = 0;  // rpc.read.batched
+  std::uint64_t saved = 0;    // rpc.read.saved
+  std::uint64_t cross_shard = 0;
+};
+
+/// One kManualCN Block that reads and bumps every key in `keys`, run
+/// through a Client on a 2-group cluster with batch_reads and prefetch.
+BatchedBlockRun run_one_batched_block(const std::vector<ObjectKey>& keys) {
+  obs::Observability obs;
+  harness::Cluster cluster(fast_cluster(2));
+  cluster.set_obs(&obs);
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  for (const ObjectKey& key : keys) seed_sharded(cluster, map, key, Record{10});
+
+  ProgramBuilder b("client.spread", 0);
+  std::vector<VarId> vars;
+  for (const ObjectKey& key : keys)
+    vars.push_back(b.remote_read(
+        1, {}, [key](const TxEnv&) { return key; }, "read",
+        /*for_write=*/true));
+  b.local(vars, vars,
+          [vars](TxEnv& e) {
+            for (const VarId v : vars) {
+              Record r = e.get(v);
+              r[0] += 1;
+              e.write_object(v, std::move(r));
+            }
+          },
+          "bump");
+  const auto program = b.build();
+  const auto model =
+      build_dependency_model(program, AttachPolicy::kLatestProducer);
+  Block all;
+  for (std::size_t u = 0; u < model.units.size(); ++u) all.units.push_back(u);
+  const BlockSequence sequence{all};
+  EXPECT_TRUE(sequence_valid(sequence, model));
+
+  ClientStats stats;
+  Client client(cluster, router, stats, 0, fast_executor(), 31);
+  acn::RunOptions options = acn::with_blocks(program, model, sequence);
+  options.batch_reads = true;
+  options.prefetch = true;
+  acn::ExecStats es;
+  client.run(harness::Protocol::kManualCN, options, {}, es);
+
+  EXPECT_EQ(es.commits, 1u);
+  for (const ObjectKey& key : keys)
+    EXPECT_EQ(latest_sharded(cluster, map, key).value.fields[0], 11);
+  const auto snapshot = obs.metrics.snapshot();
+  return {snapshot.counter("rpc.read.batched"),
+          snapshot.counter("rpc.read.saved"), stats.cross_shard.load()};
+}
+
+TEST(Client, CrossShardBlockFetchesOneReadRoundPerGroup) {
+  // Two keys on each of two groups: the Block's batched fetch splits by
+  // group, one read_many round per group, each saving one round over
+  // reading its two keys one at a time.
+  const BatchedBlockRun run =
+      run_one_batched_block({{1, 5}, {1, 6}, {1, 105}, {1, 106}});
+  EXPECT_EQ(run.cross_shard, 1u);
+  EXPECT_EQ(run.batched, 2u);
+  EXPECT_EQ(run.saved, 2u);
+}
+
+TEST(Client, OneGroupBlockFetchesInOneReadRound) {
+  const BatchedBlockRun run =
+      run_one_batched_block({{1, 5}, {1, 6}, {1, 7}, {1, 8}});
+  EXPECT_EQ(run.cross_shard, 0u);
+  EXPECT_EQ(run.batched, 1u);
+  EXPECT_EQ(run.saved, 3u);
 }
 
 TEST(Client, AbandonedCommitResolvesBeforeChaosStopDeclaresHealed) {

@@ -153,7 +153,8 @@ TEST(Executor, AnyValidBlockSequenceMatchesFlatExecution) {
 
 /// Program with a saboteur: block {B, C} where a local op between the two
 /// reads commits a conflicting write through a second client, a controlled
-/// number of times.
+/// number of times.  With `at_commit` the saboteur runs after read C
+/// instead, so only the commit's final validation sees the conflict.
 struct SabotageRig {
   Cluster cluster{fast_config()};
   std::unique_ptr<dtm::QuorumStub> saboteur_stub;
@@ -162,7 +163,7 @@ struct SabotageRig {
   DependencyModel model;
   BlockSequence sequence;
 
-  explicit SabotageRig(ObjectKey victim, int n_fires) {
+  SabotageRig(ObjectKey victim, int n_fires, bool at_commit) {
     workloads::seed_all(cluster.servers(), kA, Record{100});
     workloads::seed_all(cluster.servers(), kB, Record{200});
     workloads::seed_all(cluster.servers(), kC, Record{300});
@@ -176,17 +177,18 @@ struct SabotageRig {
         2, {a}, [](const TxEnv&) { return kB; }, "read B");
     auto* stub = saboteur_stub.get();
     auto counter = fires;
-    b.local({bb}, {},
-            [stub, counter, victim](TxEnv&) {
-              if (*counter <= 0) return;
-              --*counter;
-              nesting::Transaction txn(*stub, nesting::next_tx_id());
-              const Record v = txn.read(victim);
-              txn.write(victim, Record{v[0] + 1});
-              txn.commit();
-            },
-            "sabotage");
-    b.remote_read(3, {bb}, [](const TxEnv&) { return kC; }, "read C");
+    const auto sabotage = [stub, counter, victim](TxEnv&) {
+      if (*counter <= 0) return;
+      --*counter;
+      nesting::Transaction txn(*stub, nesting::next_tx_id());
+      const Record v = txn.read(victim);
+      txn.write(victim, Record{v[0] + 1});
+      txn.commit();
+    };
+    if (!at_commit) b.local({bb}, {}, sabotage, "sabotage");
+    const VarId c =
+        b.remote_read(3, {bb}, [](const TxEnv&) { return kC; }, "read C");
+    if (at_commit) b.local({c}, {}, sabotage, "sabotage");
     program = b.build();
     model = build_dependency_model(program, AttachPolicy::kLatestProducer);
     // Blocks: {U_A} then {U_B(+sabotage), U_C} — conflict detected by
@@ -206,6 +208,8 @@ struct Sabotage {
   ExecutorConfig config = fast_executor();
   /// kManualCN: run all three units as one Block instead of two.
   bool one_block = false;
+  /// The conflict surfaces at commit, not at a read (SabotageRig).
+  bool at_commit = false;
 };
 
 void expect_same_stats(const ExecStats& group, const ExecStats& cross) {
@@ -232,7 +236,7 @@ void expect_same_stats(const ExecStats& group, const ExecStats& cross) {
 ExecStats run_sabotaged(const Sabotage& sabotage) {
   ExecStats stats[2];
   for (const bool cross_shard : {false, true}) {
-    SabotageRig rig(sabotage.victim, sabotage.fires);
+    SabotageRig rig(sabotage.victim, sabotage.fires, sabotage.at_commit);
     if (sabotage.one_block) rig.sequence = {Block{{0, 1, 2}}};
     const RunOptions options =
         sabotage.protocol == Protocol::kManualCN
@@ -325,6 +329,23 @@ TEST(Executor, CheckpointRestoreReachesBackToEarlierAccess) {
   EXPECT_EQ(stats.full_aborts, 0u);
   EXPECT_EQ(stats.checkpoint_restores, 1u);
   EXPECT_EQ(stats.ops_executed, 4u + 4u);
+}
+
+TEST(Executor, CheckpointRestoreAfterACommitConflict) {
+  // Victim C is read at op 2 and overwritten after it: the read-only
+  // commit's validation refuses C, and the handle, which holds nothing
+  // remotely, rolls back to C's checkpoint instead of restarting.
+  const ExecStats stats = run_sabotaged({.victim = kC,
+                                         .fires = 1,
+                                         .protocol = Protocol::kCheckpoint,
+                                         .at_commit = true});
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.full_aborts, 0u);
+  EXPECT_EQ(stats.aborts_at_commit, 1u);
+  EXPECT_EQ(stats.checkpoint_restores, 1u);
+  // ops: A,B,C,sab = 4, then resume C,sab = 2.
+  EXPECT_EQ(stats.ops_executed, 4u + 2u);
+  EXPECT_EQ(stats.checkpoints_taken, 3u + 1u);
 }
 
 TEST(Executor, CheckpointMatchesFlatFinalState) {

@@ -165,8 +165,15 @@ TEST(Coordinator, ReplicatedClassReadsServeFromHomeAndWritesAreRefused) {
   tx.write(home, Record{h.fields[0] + 1});
   // Writing a replicated class would silently diverge the groups' copies.
   EXPECT_THROW(tx.write(reference, Record{0}), std::logic_error);
+  EXPECT_THROW(tx.insert(reference, Record{0}), std::logic_error);
+  // write() needs a prior read, as TxAccess says; insert() is the blind
+  // write.
+  const ObjectKey fresh{1, 106};  // group 1, never seeded
+  EXPECT_THROW(tx.write(fresh, Record{1}), std::logic_error);
+  tx.insert(fresh, Record{1});
   tx.commit();
   EXPECT_EQ(latest_sharded(cluster, map, home).value.fields[0], 11);
+  EXPECT_EQ(latest_sharded(cluster, map, fresh).value.fields[0], 1);
 }
 
 TEST(ShardsTouched, SortedDeduplicatedUnderAnyPartitioning) {
@@ -206,7 +213,7 @@ TEST(ShardsTouched, PredictedFootprintRoutesAProgram) {
   EXPECT_EQ(plan.groups, (std::vector<std::uint32_t>{0, 1}));
 }
 
-TEST(Router, ReclassifyEscalatesMispredictionsNeverTrustsThePlan) {
+TEST(Router, CountsMispredictionsNotOverPredictions) {
   const ShardMap map = range_map(2);
   ShardRouter router(map);
 
@@ -214,19 +221,14 @@ TEST(Router, ReclassifyEscalatesMispredictionsNeverTrustsThePlan) {
   EXPECT_TRUE(predicted.single_shard());
   EXPECT_EQ(predicted.home(), 0u);
 
-  // The transaction actually touched a key on group 1 the prediction never
-  // saw: the authoritative plan spans both groups and the escape is
-  // counted.  Committing this single-shard would drop the group-1 write.
-  const RoutePlan actual =
-      router.reclassify(predicted, {{1, 5}, {1, 105}});
-  EXPECT_EQ(actual.groups, (std::vector<std::uint32_t>{0, 1}));
+  // The transaction committed on a group the prediction never saw: the
+  // escape is counted.
+  router.count_misprediction(predicted, RoutePlan{{0, 1}});
   EXPECT_EQ(router.stats().mispredicted, 1u);
 
-  // Over-prediction (a planned group never touched) narrows the plan and is
-  // NOT a mispredict — nothing can be lost by touching less than planned.
-  const RoutePlan narrowed =
-      router.reclassify(RoutePlan{{0, 1}}, {{1, 5}});
-  EXPECT_EQ(narrowed.groups, (std::vector<std::uint32_t>{0}));
+  // Over-prediction (a planned group never touched) is NOT a mispredict —
+  // nothing can be lost by touching less than planned.
+  router.count_misprediction(RoutePlan{{0, 1}}, RoutePlan{{0}});
   EXPECT_EQ(router.stats().mispredicted, 1u);
 
   // An empty plan routes to group 0 rather than nowhere.
@@ -284,6 +286,41 @@ TEST(Coordinator, SingleShardCommitNeverTouchesOtherGroups) {
   }
 }
 
+TEST(Coordinator, OverPredictedFootprintNarrowsToTheGroupsTouched) {
+  harness::Cluster cluster(fast_cluster(2));
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  const ObjectKey src{1, 5}, dst{1, 105};  // groups 0 and 1
+  seed_sharded(cluster, map, src, Record{100});
+  seed_sharded(cluster, map, dst, Record{100});
+
+  CrossShardCoordinator coordinator(cluster, router, 0);
+  ShardTx tx = coordinator.begin(write_footprint({src, dst}));
+  EXPECT_FALSE(tx.predicted().single_shard());
+  // A Block opens group 1 and is rolled back: the group holds nothing.
+  tx.begin_nested();
+  tx.insert(dst, Record{0});
+  tx.abort_nested();
+  const Record before = tx.read(src);
+  tx.write(src, Record{before.fields[0] + 1});
+  tx.commit();
+
+  // The plan narrows to the one group touched; over-prediction is no
+  // mispredict.
+  EXPECT_EQ(tx.committed_plan().groups, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(coordinator.stats().single_shard_commits.load(), 1u);
+  EXPECT_EQ(coordinator.stats().cross_shard_commits.load(), 0u);
+  EXPECT_EQ(router.stats().mispredicted, 0u);
+  EXPECT_EQ(latest_sharded(cluster, map, src).value.fields[0], 101);
+  EXPECT_EQ(latest_sharded(cluster, map, dst).value.fields[0], 100);
+  for (dtm::Server* server : cluster.group_servers(1)) {
+    EXPECT_EQ(server->stats().reads.load(), 0u);
+    EXPECT_EQ(server->stats().prepares.load(), 0u);
+    EXPECT_EQ(server->stats().commits.load(), 0u);
+    EXPECT_EQ(server->stats().aborts.load(), 0u);
+  }
+}
+
 TEST(Coordinator, CrossShardTransferCommitsAtomically) {
   harness::Cluster cluster(fast_cluster(2));
   const ShardMap map = range_map(2);
@@ -325,7 +362,7 @@ TEST(Coordinator, ValidationConflictAbortsAndReleasesEveryGroup) {
 
   // A rival commits a new version of dst between the read and the commit.
   ShardTx rival = winner.begin(write_footprint({dst}));
-  rival.write(dst, Record{999});
+  rival.insert(dst, Record{999});
   rival.commit();
 
   tx.write(src, Record{1});
@@ -517,7 +554,7 @@ TEST(Coordinator, PartitionIsolatingAParticipantGroupAbortsCleanly) {
   ShardTx tx = coordinator.begin(write_footprint({src, dst}));
   const auto a = tx.read(src);  // group 0 is reachable
   tx.write(src, Record{a.fields[0] - 1});
-  tx.write(dst, Record{1});
+  tx.insert(dst, Record{1});
   EXPECT_THROW(tx.commit(), dtm::TxAbort);
 
   cluster.network().clear_partition();
@@ -549,8 +586,8 @@ TEST(Coordinator, WalRecoveryRearmsInflightCrossShardPrepare) {
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   ShardTx tx = coordinator.begin(write_footprint({src, dst}));
-  tx.write(src, Record{41});
-  tx.write(dst, Record{41});
+  tx.insert(src, Record{41});
+  tx.insert(dst, Record{41});
   ASSERT_EQ(tx.prepare_all(), 2u);
 
   // Crash a group-1 replica that holds the in-flight prepare; its log has
