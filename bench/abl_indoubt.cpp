@@ -185,6 +185,7 @@ ScenarioResult run_scenario(const bench::BenchOptions& args,
   for (const auto& pool : pools)
     for (const ObjectKey& key : pool)
       shard::seed_sharded(cluster, map, key, Record{kInitialBalance});
+  cluster.flush_seeds();
 
   nesting::HistoryLog history;
   nesting::CrossShardLog cross_log;
@@ -360,6 +361,7 @@ ScenarioResult run_scenario(const bench::BenchOptions& args,
   for (const auto& pool : pools)
     for (const ObjectKey& key : pool)
       shard::seed_sharded(reference, one, key, Record{kInitialBalance});
+  reference.flush_seeds();
   {
     CrossShardCoordinator reference_client(reference, reference_router, 0);
     for (const Op& op : ops) {

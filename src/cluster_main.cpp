@@ -1,285 +1,113 @@
 // cluster_main — one QR-DTM replica as a standalone OS process.
 //
-// The real-transport deployment shape: harness::Cluster (or an operator)
-// launches one cluster_main per replica, each hosting a dtm::Server behind
-// a transport::TcpServer.  The data plane decodes dtm::Requests off
-// CRC-framed TCP and answers through the exact same Server::handle the
-// simulated cluster calls inline; the control plane implements the
-// management surface (seed / dump / crash / restart / probe / shutdown)
-// the harness otherwise performs by poking server objects directly.
+// harness::Cluster (or an operator) launches one cluster_main per replica.
+// The replica is a transport::ReplicaHost — the object harness::Cluster
+// holds per node in sim mode — behind a transport::TcpServer: data frames
+// reach the same Server::handle the simulated cluster calls inline, and
+// control frames reach ReplicaHost::control, so a replica answers every
+// management op the same way over either transport.  This file adds only
+// the socket side: flag parsing, the TcpServer, and what the server does
+// to itself after an op (crash suspends the data plane, resume lifts the
+// suspension, shutdown exits).
 //
-// Flags (every one mirrors a ClusterConfig field):
-//   --node=N            global node id (required)
-//   --group=G           quorum group (default: id/servers when --config
-//                       names a topology, else 0)
-//   --host=H --port=P   listen address (default 127.0.0.1:0 = ephemeral)
-//   --config=FILE       topology file (src/transport/topology.hpp); the
-//                       node's group/host/port come from its [[node]] entry
-//   --lease-ns=N        prepare lease lifetime (0 = never expires)
-//   --window-ns=N       contention window (0 = rolled via control plane)
-//   --durability=MODE   none | wal
-//   --data-dir=DIR      WAL directory (mode wal; default acn-data/node-N)
+// Flags (transport::parse_replica_flags; an unknown flag or an
+// out-of-range value exits 2):
+//   --node=N (required)  --group=G  --host=H  --port=P  --workers=N (1..256)
+//   --config=FILE        topology file (src/transport/topology.hpp); the
+//                        node's group/host/port come from its [[node]] entry
+//   --lease-ns=N         prepare lease lifetime (<= 0 = never expires)
+//   --window-ns=N        contention window (0 = rolled via control plane)
+//   --durability=none|wal  --data-dir=DIR (default acn-data/node-N)
 //   --flush-ns=N --snapshot-bytes=N --no-fsync   WAL tuning
-//   --workers=N         request worker threads (default 2)
 //
 // Stdout prints exactly one line, `ACN_READY <node> <port>`, once the
-// listener is up — the spawn handshake (ephemeral ports keep parallel CI
-// jobs from colliding).  Logs go to stderr.  The process exits 0 on a
+// listener is up — the spawn handshake (port 0 = ephemeral, so parallel CI
+// jobs never collide).  Logs go to stderr.  The process exits 0 on a
 // control-plane shutdown.
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/dtm/codec.hpp"
-#include "src/dtm/server.hpp"
+#include "src/transport/replica_host.hpp"
 #include "src/transport/tcp_server.hpp"
 #include "src/transport/topology.hpp"
-#include "src/transport/wire.hpp"
-#include "src/wal/persistence.hpp"
 
 namespace {
 
 using namespace acn;
 
-struct Options {
-  int node = -1;
-  std::uint32_t group = 0;
-  bool group_set = false;
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::string config_path;
-  std::int64_t lease_ns = 0;
-  std::int64_t window_ns = 0;
-  std::string durability = "none";
-  std::string data_dir;
-  std::int64_t flush_ns = 2'000'000;
-  std::uint64_t snapshot_bytes = std::uint64_t{1} << 20;
-  bool fsync = true;
-  std::size_t workers = 2;
-};
-
-bool parse_i64(const char* text, std::int64_t& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  return ec == std::errc{} && ptr == end;
+transport::ControlAction action_for(transport::ControlOp op) {
+  switch (op) {
+    case transport::ControlOp::kCrash:
+      return transport::ControlAction::kSuspend;
+    case transport::ControlOp::kResume:
+      return transport::ControlAction::kResume;
+    case transport::ControlOp::kShutdown:
+      return transport::ControlAction::kShutdown;
+    default:
+      return transport::ControlAction::kNone;
+  }
 }
 
-std::optional<Options> parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    std::int64_t num = 0;
-    if (const char* v = value("--node=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.node = static_cast<int>(num);
-    } else if (const char* v = value("--group=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.group = static_cast<std::uint32_t>(num);
-      opt.group_set = true;
-    } else if (const char* v = value("--host=")) {
-      opt.host = v;
-    } else if (const char* v = value("--port=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.port = static_cast<int>(num);
-    } else if (const char* v = value("--config=")) {
-      opt.config_path = v;
-    } else if (const char* v = value("--lease-ns=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.lease_ns = num;
-    } else if (const char* v = value("--window-ns=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.window_ns = num;
-    } else if (const char* v = value("--durability=")) {
-      opt.durability = v;
-    } else if (const char* v = value("--data-dir=")) {
-      opt.data_dir = v;
-    } else if (const char* v = value("--flush-ns=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.flush_ns = num;
-    } else if (const char* v = value("--snapshot-bytes=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.snapshot_bytes = static_cast<std::uint64_t>(num);
-    } else if (arg == "--no-fsync") {
-      opt.fsync = false;
-    } else if (const char* v = value("--workers=")) {
-      if (!parse_i64(v, num)) return std::nullopt;
-      opt.workers = static_cast<std::size_t>(num);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return std::nullopt;
-    }
+transport::ControlOutcome serve_control(transport::ReplicaHost& host,
+                                        std::span<const std::uint8_t> body) {
+  transport::ControlOutcome out;
+  transport::ControlReply reply;
+  try {
+    const transport::ControlRequest req = transport::decode_control(body);
+    reply = host.control(req);
+    if (reply.ok) out.action = action_for(req.op);
+  } catch (const dtm::CodecError& e) {
+    reply.ok = false;
+    reply.error = e.what();
   }
-  if (opt.node < 0) {
-    std::fprintf(stderr, "--node is required\n");
-    return std::nullopt;
-  }
-  if (opt.durability != "none" && opt.durability != "wal") {
-    std::fprintf(stderr, "--durability must be none|wal\n");
-    return std::nullopt;
-  }
-  return opt;
+  out.reply_body = transport::encode_control_reply(reply);
+  return out;
 }
-
-/// One replica's full state: the server plus its optional durable backend,
-/// rebuilt the same way harness::Cluster builds its in-process replicas.
-struct Replica {
-  Options opt;
-  std::unique_ptr<wal::ReplicaPersistence> persistence;
-  std::unique_ptr<dtm::Server> server;
-
-  explicit Replica(Options options) : opt(std::move(options)) {
-    server = std::make_unique<dtm::Server>(opt.node, opt.window_ns,
-                                           opt.lease_ns);
-    server->set_group(opt.group);
-    if (opt.durability == "wal") {
-      wal::WalConfig wal_config;
-      wal_config.dir = opt.data_dir;
-      wal_config.flush_interval_ns = opt.flush_ns;
-      wal_config.snapshot_every_bytes = opt.snapshot_bytes;
-      wal_config.fsync = opt.fsync;
-      persistence =
-          std::make_unique<wal::ReplicaPersistence>(std::move(wal_config));
-      auto recovered = persistence->recover();
-      server->install_recovered(recovered.objects, recovered.open_prepares);
-      server->set_durability(persistence.get());
-    }
-  }
-
-  void checkpoint() {
-    if (!persistence) return;
-    dtm::Server* s = server.get();
-    persistence->write_snapshot([s] {
-      return dtm::SnapshotData{s->store().snapshot(), s->open_prepares()};
-    });
-  }
-
-  transport::ControlOutcome handle_control(
-      std::span<const std::uint8_t> body) {
-    transport::ControlOutcome out;
-    transport::ControlReply reply;
-    try {
-      const transport::ControlRequest req = transport::decode_control(body);
-      switch (req.op) {
-        case transport::ControlOp::kPing:
-          break;
-        case transport::ControlOp::kSeed:
-          // Version-guarded installs: initial seeding and anti-entropy
-          // delta pushes both land here; racing against live commits can
-          // only lose to newer versions, same as the sim's catch-up.
-          for (const transport::SeedEntry& e : req.entries)
-            server->store().apply(e.key, e.value, e.version, store::kNoTx);
-          reply.count = req.entries.size();
-          break;
-        case transport::ControlOp::kDump:
-          for (auto& [key, rec] : server->store().snapshot())
-            reply.entries.push_back({key, std::move(rec.value), rec.version});
-          break;
-        case transport::ControlOp::kRollWindows:
-          server->roll_contention_window();
-          break;
-        case transport::ControlOp::kClassLevels:
-          reply.levels = server->contention().class_levels(req.classes);
-          break;
-        case transport::ControlOp::kCrash:
-          // The crash itself: suspend the data plane (below) and lose what
-          // the group-commit buffer never flushed; a disk-loss crash also
-          // wipes the directory.  The process and its memory survive —
-          // kRestart decides what a reboot would have kept.
-          if (persistence) {
-            persistence->drop_unflushed();
-            if (req.lose_disk) persistence->wipe();
-          }
-          out.action = transport::ControlAction::kSuspend;
-          break;
-        case transport::ControlOp::kRestart:
-          if (persistence) {
-            server->reset_volatile_state();
-            auto recovered = persistence->recover();
-            server->install_recovered(recovered.objects,
-                                      recovered.open_prepares);
-          }
-          break;
-        case transport::ControlOp::kResume:
-          out.action = transport::ControlAction::kResume;
-          break;
-        case transport::ControlOp::kCheckpoint:
-          checkpoint();
-          break;
-        case transport::ControlOp::kExpireLeases:
-          reply.count = server->expire_stale_leases();
-          break;
-        case transport::ControlOp::kIndoubtList:
-          reply.indoubt = server->indoubt_transactions();
-          break;
-        case transport::ControlOp::kProbe:
-          reply.probe.open_leases = server->open_lease_count();
-          reply.probe.protected_keys = server->store().protected_count();
-          reply.probe.wrong_group = server->stats().wrong_group.load();
-          reply.probe.indoubt = server->indoubt_count();
-          reply.probe.open_prepares = server->open_prepares().size();
-          break;
-        case transport::ControlOp::kShutdown:
-          if (persistence) persistence->flush();
-          out.action = transport::ControlAction::kShutdown;
-          break;
-      }
-    } catch (const std::exception& e) {
-      reply = {};
-      reply.ok = false;
-      reply.error = e.what();
-    }
-    out.reply_body = transport::encode_control_reply(reply);
-    return out;
-  }
-};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto parsed = parse_args(argc, argv);
-  if (!parsed) return 2;
-  Options opt = *std::move(parsed);
+  std::string error;
+  auto parsed = transport::parse_replica_flags(
+      std::vector<std::string>(argv + 1, argv + argc), error);
+  if (!parsed) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
+  transport::ReplicaFlags flags = *std::move(parsed);
+  transport::ReplicaConfig& replica = flags.replica;
 
-  if (!opt.config_path.empty()) {
-    std::string error;
-    const auto topo = transport::load_topology(opt.config_path, &error);
+  if (!flags.config_path.empty()) {
+    const auto topo = transport::load_topology(flags.config_path, &error);
     if (!topo) {
-      std::fprintf(stderr, "bad --config %s: %s\n", opt.config_path.c_str(),
+      std::fprintf(stderr, "bad --config %s: %s\n", flags.config_path.c_str(),
                    error.c_str());
       return 2;
     }
-    if (const transport::TopologyNode* self = topo->find(opt.node)) {
-      if (!opt.group_set) opt.group = self->group;
-      opt.host = self->host;
-      if (opt.port == 0) opt.port = self->port;
+    if (const transport::TopologyNode* self = topo->find(replica.node)) {
+      if (!flags.group_set) replica.group = self->group;
+      flags.host = self->host;
+      if (flags.port == 0) flags.port = self->port;
     } else {
-      std::fprintf(stderr, "node %d not in topology %s\n", opt.node,
-                   opt.config_path.c_str());
+      std::fprintf(stderr, "node %d not in topology %s\n", replica.node,
+                   flags.config_path.c_str());
       return 2;
     }
-    if (opt.durability == "none" && topo->durability == "wal")
-      opt.durability = "wal";
+    if (topo->durability == "wal") replica.durable = true;
   }
-  if (opt.data_dir.empty())
-    opt.data_dir = "acn-data/node-" + std::to_string(opt.node);
 
   try {
-    Replica replica(opt);
+    transport::ReplicaHost host(replica);
 
     transport::TcpServerConfig server_config;
-    server_config.host = opt.host;
-    server_config.port = opt.port;
-    server_config.workers = opt.workers;
+    server_config.host = flags.host;
+    server_config.port = flags.port;
+    server_config.workers = flags.workers;
 
-    dtm::Server* server = replica.server.get();
+    dtm::Server* server = &host.server();
     transport::TcpServer tcp(
         server_config,
         [server](std::int64_t from, std::span<const std::uint8_t> body)
@@ -296,18 +124,18 @@ int main(int argc, char** argv) {
             return std::nullopt;
           }
         },
-        [&replica](std::span<const std::uint8_t> body) {
-          return replica.handle_control(body);
+        [&host](std::span<const std::uint8_t> body) {
+          return serve_control(host, body);
         });
 
-    std::printf("ACN_READY %d %d\n", opt.node, tcp.port());
+    std::printf("ACN_READY %d %d\n", replica.node, tcp.port());
     std::fflush(stdout);
-    std::fprintf(stderr, "node %d (group %u) listening on %s:%d\n", opt.node,
-                 opt.group, opt.host.c_str(), tcp.port());
+    std::fprintf(stderr, "node %d (group %u) listening on %s:%d\n",
+                 replica.node, replica.group, flags.host.c_str(), tcp.port());
 
     tcp.wait_shutdown();
     tcp.stop();
-    std::fprintf(stderr, "node %d: clean shutdown\n", opt.node);
+    std::fprintf(stderr, "node %d: clean shutdown\n", replica.node);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fatal: %s\n", e.what());

@@ -61,6 +61,8 @@ struct InDoubtTx {
   std::vector<ObjectKey> keys;
   std::vector<std::uint32_t> participants;
   std::int64_t coordinator = -1;
+
+  friend bool operator==(const InDoubtTx&, const InDoubtTx&) = default;
 };
 
 class Server {

@@ -15,6 +15,15 @@
 namespace acn::harness {
 namespace {
 
+using Op = transport::ControlOp;
+using transport::ControlRequest;
+
+ControlRequest control_op(Op op) {
+  ControlRequest req;
+  req.op = op;
+  return req;
+}
+
 std::shared_ptr<const LatencyModel> make_latency(const ClusterConfig& config) {
   if (config.base_latency.count() <= 0) return std::make_shared<ZeroLatency>();
   return std::make_shared<FixedLatency>(config.base_latency,
@@ -49,7 +58,9 @@ std::unique_ptr<quorum::QuorumSystem> make_group_quorums(
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config)
-    : config_(config), network_(make_latency(config)) {
+    : config_(config),
+      pending_seeds_(config.n_groups, control_op(Op::kSeed)),
+      network_(make_latency(config)) {
   if (config_.n_groups == 0)
     throw std::invalid_argument("Cluster: n_groups must be >= 1");
   total_nodes_ = config_.n_servers * config_.n_groups;
@@ -65,43 +76,36 @@ Cluster::Cluster(ClusterConfig config)
   transport_ =
       std::make_unique<net::SimTransport<dtm::Request, dtm::Response>>(
           network_);
-  servers_.reserve(total_nodes_);
+  hosts_.reserve(total_nodes_);
   for (std::size_t i = 0; i < total_nodes_; ++i) {
-    servers_.push_back(std::make_unique<dtm::Server>(
-        static_cast<net::NodeId>(i), config_.contention_window_ns,
-        config_.prepare_lease_ns));
-    dtm::Server* server = servers_.back().get();
-    server->set_group(static_cast<std::uint32_t>(i / config_.n_servers));
+    // A durable host built over an existing data directory is a restart:
+    // it comes back up from its own disk before taking traffic.
+    hosts_.push_back(
+        std::make_unique<transport::ReplicaHost>(replica_config(i)));
+    dtm::Server* server = &hosts_.back()->server();
     network_.register_node(
         static_cast<net::NodeId>(i),
         [server](net::NodeId from, const dtm::Request& request) {
           return server->handle(from, request);
         });
   }
-
-  if (config_.durability.mode == DurabilityMode::kWal) {
-    persistence_.reserve(total_nodes_);
-    for (std::size_t i = 0; i < total_nodes_; ++i) {
-      wal::WalConfig wal_config;
-      wal_config.dir =
-          config_.durability.data_dir + "/node-" + std::to_string(i);
-      wal_config.flush_interval_ns = config_.durability.flush_interval_ns;
-      wal_config.snapshot_every_bytes =
-          config_.durability.snapshot_every_bytes;
-      wal_config.fsync = config_.durability.fsync;
-      persistence_.push_back(
-          std::make_unique<wal::ReplicaPersistence>(std::move(wal_config)));
-      // A cluster built over existing data directories is a restart: each
-      // replica comes back up from its own disk before taking traffic.
-      auto recovered = persistence_[i]->recover();
-      servers_[i]->install_recovered(recovered.objects,
-                                     recovered.open_prepares);
-      servers_[i]->set_durability(persistence_[i].get());
-    }
-  }
 }
 
 Cluster::~Cluster() { shutdown_fleet(); }
+
+transport::ReplicaConfig Cluster::replica_config(std::size_t i) const {
+  transport::ReplicaConfig replica;
+  replica.node = static_cast<net::NodeId>(i);
+  replica.group = group_of(replica.node);
+  replica.lease_ns = config_.prepare_lease_ns;
+  replica.window_ns = config_.contention_window_ns;
+  replica.durable = config_.durability.mode == DurabilityMode::kWal;
+  replica.wal = {config_.durability.data_dir + "/node-" + std::to_string(i),
+                 config_.durability.flush_interval_ns,
+                 config_.durability.snapshot_every_bytes,
+                 config_.durability.fsync};
+  return replica;
+}
 
 void Cluster::spawn_fleet() {
   namespace fs = std::filesystem;
@@ -119,33 +123,17 @@ void Cluster::spawn_fleet() {
       config_.durability.mode == DurabilityMode::kWal ? "wal" : "none";
   std::map<net::NodeId, transport::Endpoint> peers;
   for (std::size_t i = 0; i < total_nodes_; ++i) {
-    std::vector<std::string> args = {
-        "--node=" + std::to_string(i),
-        "--group=" + std::to_string(i / config_.n_servers),
-        "--host=" + config_.tcp.host,
-        "--port=0",
-        "--lease-ns=" + std::to_string(config_.prepare_lease_ns),
-        "--window-ns=" + std::to_string(config_.contention_window_ns),
-        "--workers=" + std::to_string(config_.tcp.server_workers),
-    };
-    if (config_.durability.mode == DurabilityMode::kWal) {
-      args.push_back("--durability=wal");
-      args.push_back("--data-dir=" + config_.durability.data_dir + "/node-" +
-                     std::to_string(i));
-      args.push_back("--flush-ns=" +
-                     std::to_string(config_.durability.flush_interval_ns));
-      args.push_back("--snapshot-bytes=" +
-                     std::to_string(config_.durability.snapshot_every_bytes));
-      if (!config_.durability.fsync) args.push_back("--no-fsync");
-    }
+    transport::ReplicaFlags flags;
+    flags.replica = replica_config(i);
+    flags.host = config_.tcp.host;
+    flags.workers = config_.tcp.server_workers;
     const int port = fleet_->spawn(
-        binary, static_cast<int>(i), args,
+        binary, static_cast<int>(i), transport::replica_args(flags),
         log_dir + "/node-" + std::to_string(i) + ".log",
         config_.tcp.ready_timeout);
     peers[static_cast<net::NodeId>(i)] = {config_.tcp.host, port};
-    topology.nodes.push_back({static_cast<int>(i),
-                              static_cast<std::uint32_t>(i / config_.n_servers),
-                              config_.tcp.host, port});
+    topology.nodes.push_back(
+        {static_cast<int>(i), flags.replica.group, config_.tcp.host, port});
   }
   // Record what ran: a failed CI job's artifacts then name every process.
   transport::save_topology(topology, log_dir + "/topology.toml");
@@ -160,46 +148,54 @@ void Cluster::spawn_fleet() {
 
 bool Cluster::shutdown_fleet() {
   if (!remote() || fleet_ == nullptr) return true;
-  for (std::size_t i = 0; i < total_nodes_; ++i) {
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kShutdown;
-    tcp().try_control(static_cast<net::NodeId>(i), req);
-  }
+  for (std::size_t i = 0; i < total_nodes_; ++i)
+    try_control(i, control_op(Op::kShutdown));
   const bool clean = fleet_->wait_all(std::chrono::milliseconds(3000));
   fleet_->kill_all();
   return clean;
 }
 
-transport::TcpTransport& Cluster::tcp() {
-  if (tcp_ == nullptr)
-    throw std::logic_error("Cluster: control plane requires TransportMode::kTcp");
-  return *tcp_;
+std::optional<transport::ControlReply> Cluster::try_control(
+    std::size_t i, const transport::ControlRequest& req) {
+  if (tcp_ != nullptr) return tcp_->control(static_cast<net::NodeId>(i), req);
+  if (i >= hosts_.size()) return std::nullopt;
+  return hosts_[i]->control(req);
+}
+
+transport::ControlReply Cluster::control(std::size_t i,
+                                         const transport::ControlRequest& req) {
+  auto reply = try_control(i, req);
+  if (!reply || !reply->ok)
+    throw transport::TransportError(
+        "control op " + std::to_string(static_cast<int>(req.op)) +
+        " to node " + std::to_string(i) +
+        (reply ? " rejected: " + reply->error : " unreachable or timed out"));
+  return *std::move(reply);
+}
+
+void Cluster::require_sim(const char* op) const {
+  if (remote())
+    throw std::logic_error(
+        std::string("Cluster::") + op +
+        ": sim mode only — replicas are remote processes (TransportMode::kTcp);"
+        " use store_snapshot()/mirror(), the control plane or transport()");
 }
 
 dtm::Server& Cluster::server(std::size_t i) {
-  if (remote())
-    throw std::logic_error(
-        "Cluster::server: replicas are remote processes (TransportMode::kTcp);"
-        " use store_snapshot()/mirror() or the control plane");
-  return *servers_[i];
+  require_sim("server");
+  return hosts_.at(i)->server();
 }
 
 std::vector<dtm::Server*> Cluster::servers() {
-  if (remote())
-    throw std::logic_error(
-        "Cluster::servers: replicas are remote processes (TransportMode::kTcp);"
-        " use store_snapshot()/mirror() or the control plane");
+  require_sim("servers");
   std::vector<dtm::Server*> out;
-  out.reserve(servers_.size());
-  for (auto& server : servers_) out.push_back(server.get());
+  out.reserve(hosts_.size());
+  for (auto& host : hosts_) out.push_back(&host->server());
   return out;
 }
 
 dtm::DtmNetwork& Cluster::network() {
-  if (remote())
-    throw std::logic_error(
-        "Cluster::network: no simulated network under TransportMode::kTcp;"
-        " route faults through Cluster::transport()");
+  require_sim("network");
   return network_;
 }
 
@@ -253,41 +249,26 @@ void Cluster::seed_object(const store::ObjectKey& key,
                           const store::Record& value, std::size_t group) {
   if (group >= config_.n_groups)
     throw std::out_of_range("Cluster::seed_object: unknown group");
-  const std::size_t base = group * config_.n_servers;
-  if (!remote()) {
-    for (std::size_t i = 0; i < config_.n_servers; ++i)
-      servers_[base + i]->store().seed(key, value);
-    return;
-  }
-  for (std::size_t i = 0; i < config_.n_servers; ++i)
-    pending_seeds_[base + i].push_back({key, value});
+  pending_seeds_[group].entries.push_back({key, value, 1});
 }
 
 void Cluster::flush_seeds() {
-  if (!remote()) return;
-  for (auto& [node, entries] : pending_seeds_) {
-    if (entries.empty()) continue;
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kSeed;
-    req.entries.reserve(entries.size());
-    for (auto& [key, value] : entries) req.entries.push_back({key, value, 1});
-    tcp().control(static_cast<net::NodeId>(node), req);
-    entries.clear();
+  for (std::size_t g = 0; g < pending_seeds_.size(); ++g) {
+    ControlRequest& seeds = pending_seeds_[g];
+    if (seeds.entries.empty()) continue;
+    for (const net::NodeId node : group_members(g))
+      control(static_cast<std::size_t>(node), seeds);
+    seeds.entries.clear();  // keeps the buffer (see pending_seeds_)
   }
-  pending_seeds_.clear();
 }
 
 std::vector<std::pair<store::ObjectKey, store::VersionedRecord>>
 Cluster::store_snapshot(std::size_t i) {
-  if (!remote()) return servers_[i]->store().snapshot();
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kDump;
-  auto reply = tcp().control(static_cast<net::NodeId>(i), req);
+  auto reply = control(i, control_op(Op::kDump));
   std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> out;
   out.reserve(reply.entries.size());
   for (auto& entry : reply.entries)
-    out.push_back(
-        {entry.key, {std::move(entry.value), entry.version}});
+    out.push_back({entry.key, {std::move(entry.value), entry.version}});
   return out;
 }
 
@@ -307,72 +288,36 @@ StateMirror Cluster::mirror() {
 
 std::size_t Cluster::expire_all_leases() {
   std::size_t expired = 0;
-  if (!remote()) {
-    for (auto& server : servers_) expired += server->expire_stale_leases();
-    return expired;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kExpireLeases;
   for (std::size_t i = 0; i < total_nodes_; ++i)
-    if (const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req))
+    if (const auto reply = try_control(i, control_op(Op::kExpireLeases)))
       expired += reply->count;
   return expired;
 }
 
 std::vector<dtm::InDoubtTx> Cluster::indoubt_transactions(std::size_t i) {
-  if (!remote()) return servers_[i]->indoubt_transactions();
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kIndoubtList;
-  if (const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req))
+  if (const auto reply = try_control(i, control_op(Op::kIndoubtList)))
     return reply->indoubt;
   return {};
 }
 
 transport::ReplicaProbe Cluster::probe_replica(std::size_t i) {
-  transport::ReplicaProbe probe;
-  if (!remote()) {
-    dtm::Server& server = *servers_[i];
-    probe.open_leases = server.open_lease_count();
-    probe.protected_keys = server.store().protected_count();
-    probe.wrong_group = server.stats().wrong_group.load();
-    probe.indoubt = server.indoubt_count();
-    probe.open_prepares = server.open_prepares().size();
-    return probe;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kProbe;
-  if (const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req))
-    probe = reply->probe;
-  return probe;
+  if (const auto reply = try_control(i, control_op(Op::kProbe)))
+    return reply->probe;
+  return {};
 }
 
 void Cluster::roll_contention_windows() {
-  if (!remote()) {
-    for (auto& server : servers_) server->roll_contention_window();
-    return;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kRollWindows;
   for (std::size_t i = 0; i < total_nodes_; ++i)
-    tcp().try_control(static_cast<net::NodeId>(i), req);
+    try_control(i, control_op(Op::kRollWindows));
 }
 
 std::vector<std::uint64_t> Cluster::class_levels(
     const std::vector<store::ClassId>& classes) {
-  std::vector<std::uint64_t> levels(classes.size(), 0);
-  if (!remote()) {
-    for (auto& server : servers_) {
-      const auto server_levels = server->contention().class_levels(classes);
-      for (std::size_t i = 0; i < levels.size(); ++i)
-        levels[i] = std::max(levels[i], server_levels[i]);
-    }
-    return levels;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kClassLevels;
+  ControlRequest req = control_op(Op::kClassLevels);
   req.classes = classes;
+  std::vector<std::uint64_t> levels(classes.size(), 0);
   for (std::size_t i = 0; i < total_nodes_; ++i) {
-    const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req);
+    const auto reply = try_control(i, req);
     if (!reply) continue;
     for (std::size_t c = 0; c < levels.size() && c < reply->levels.size(); ++c)
       levels[c] = std::max(levels[c], reply->levels[c]);
@@ -381,156 +326,122 @@ std::vector<std::uint64_t> Cluster::class_levels(
 }
 
 void Cluster::crash_node(net::NodeId id, bool lose_disk) {
-  if (remote()) {
-    // Socket-layer crash: the replica suspends its data plane (listener
-    // refuses data hellos, live data connections die) and sheds its
-    // group-commit buffer — then the client side also marks it down so
-    // calls fail fast instead of burning their deadlines.
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kCrash;
-    req.lose_disk = lose_disk;
-    tcp().control(id, req);
-    transport_->set_node_down(id, true);
-    return;
-  }
-  network_.set_node_down(id, true);
-  const auto i = static_cast<std::size_t>(id);
-  if (i < persistence_.size() && persistence_[i]) {
-    // What sat in the group-commit buffer never reached the disk.
-    persistence_[i]->drop_unflushed();
-    if (lose_disk) persistence_[i]->wipe();
-  }
+  // Off the transport first, so calls fail fast (kNodeDown) from here on.
+  // Then the crash itself: the replica loses its group-commit buffer (and,
+  // with lose_disk, its data directory); a TCP replica also suspends its
+  // data plane, refusing data hellos and killing live data connections.
+  transport_->set_node_down(id, true);
+  ControlRequest crash = control_op(Op::kCrash);
+  crash.lose_disk = lose_disk;
+  control(static_cast<std::size_t>(id), crash);
 }
 
 void Cluster::checkpoint_node(std::size_t i) {
-  if (remote()) {
-    if (config_.durability.mode != DurabilityMode::kWal) return;
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kCheckpoint;
-    tcp().try_control(static_cast<net::NodeId>(i), req);
-    return;
-  }
-  if (i >= persistence_.size() || !persistence_[i]) return;
-  dtm::Server* server = servers_[i].get();
-  persistence_[i]->write_snapshot([server] {
-    return dtm::SnapshotData{server->store().snapshot(),
-                             server->open_prepares()};
-  });
+  if (config_.durability.mode == DurabilityMode::kWal)
+    try_control(i, control_op(Op::kCheckpoint));
 }
 
 void Cluster::checkpoint_all() {
-  if (remote()) {
-    for (std::size_t i = 0; i < total_nodes_; ++i) checkpoint_node(i);
-    return;
-  }
-  for (std::size_t i = 0; i < persistence_.size(); ++i) checkpoint_node(i);
+  for (std::size_t i = 0; i < total_nodes_; ++i) checkpoint_node(i);
 }
 
 std::size_t Cluster::restart_node(net::NodeId id, CatchUpScope scope) {
   if (id < 0 || static_cast<std::size_t>(id) >= total_nodes_)
     throw std::invalid_argument("Cluster::restart_node: unknown server id");
-  if (remote()) return restart_remote_node(id, scope);
-  dtm::Server& joiner = *servers_[static_cast<std::size_t>(id)];
-
+  const auto joiner = static_cast<std::size_t>(id);
   const std::uint64_t start_ns = now_ns();
-  wal::ReplicaPersistence* wal = persistence(static_cast<std::size_t>(id));
-  if (wal != nullptr) {
-    // Disk-faithful restart: the in-process "crash" left the replica's
-    // memory intact, so first shed it — what a real reboot would keep is
-    // exactly what recover() reads back from the log and snapshot.
-    joiner.reset_volatile_state();
-    auto recovered = wal->recover();
-    joiner.install_recovered(recovered.objects, recovered.open_prepares);
-  }
 
-  // Pick the peers to sync from — always within the joiner's own quorum
-  // group: the groups' keyspaces are disjoint, so a foreign peer holds
-  // nothing this replica should serve (and syncing from one would install
-  // keys the group does not own).  A read quorum of the group suffices:
-  // every committed write reached a write quorum, and read and write
-  // quorums intersect, so the newest version of every key is present among
-  // the sources.
-  const std::vector<net::NodeId> sources = catchup_sources(id, scope);
+  // Disk-faithful reboot: a durable joiner sheds the memory its "crash"
+  // left intact and reloads its log and snapshot (re-arming unresolved
+  // prepares); a volatile one keeps its store.  The reply lists the
+  // prepares still open on it.
+  const auto open = control(joiner, control_op(Op::kRestart)).prepares;
+
+  // Sync from the live peers of the joiner's own group (the groups'
+  // keyspaces are disjoint).  A read quorum suffices: every committed write
+  // reached a write quorum, and read and write quorums intersect.  Every
+  // step rides the control plane, so neither a drop burst nor a data-plane
+  // partition can starve recovery.
+  std::vector<net::NodeId> sources = catchup_sources(id, scope);
+  std::erase_if(sources,
+                [&](net::NodeId src) { return transport_->node_down(src); });
 
   // A prepare the group committed while this replica was down is still
-  // open here: phase two failed against the down node, the coordinator's
-  // replays may have run out, and without a lease nothing else releases
-  // its keys.  Ask the sources before reading their stores, so a source
-  // that remembers the commit has it in the snapshot taken below.
-  std::vector<dtm::OpenPrepare> committed_elsewhere;
-  for (dtm::OpenPrepare& prepare : joiner.open_prepares()) {
-    dtm::Request query;
-    query.payload = dtm::DecisionQuery{prepare.tx, joiner.group()};
+  // open here: phase two failed against it, and without a lease nothing
+  // else releases its keys.  Ask the sources before dumping them, so a
+  // source that remembers the commit has it in its dump.
+  std::vector<const dtm::OpenPrepare*> committed;
+  ControlRequest query = control_op(Op::kHandle);
+  for (const dtm::OpenPrepare& prepare : open) {
+    query.request.payload = dtm::DecisionQuery{prepare.tx, group_of(id)};
     for (const net::NodeId src : sources) {
-      if (network_.node_down(src)) continue;
-      const dtm::Response reply =
-          servers_[static_cast<std::size_t>(src)]->handle(id, query);
-      const auto* decision = std::get_if<dtm::DecisionReply>(&reply.payload);
+      const auto reply = try_control(static_cast<std::size_t>(src), query);
+      const auto* decision =
+          reply ? std::get_if<dtm::DecisionReply>(&reply->response.payload)
+                : nullptr;
       if (decision != nullptr &&
           decision->code == dtm::DecisionCode::kCommitted) {
-        committed_elsewhere.push_back(std::move(prepare));
+        committed.push_back(&prepare);
         break;
       }
     }
   }
 
-  // Gather the newest version of every key across the sources, then install
-  // whatever is newer than the local replica.  apply() is version-guarded,
-  // so racing against live commit traffic can only lose to newer versions.
-  std::unordered_map<store::ObjectKey, store::VersionedRecord,
+  // Push the newest version of every key across the sources.  kSeed
+  // installs version-guarded, so racing live commits can only lose to
+  // newer versions, and counts the keys whose version advanced.
+  std::unordered_map<store::ObjectKey, transport::SeedEntry,
                      store::ObjectKeyHash>
       newest;
+  const ControlRequest dump = control_op(Op::kDump);
   for (const net::NodeId src : sources) {
-    if (network_.node_down(src)) continue;
-    for (auto& [key, rec] : servers_[static_cast<std::size_t>(src)]
-                                ->store()
-                                .snapshot()) {
-      auto [it, inserted] = newest.try_emplace(key, rec);
-      if (!inserted && rec.version > it->second.version) it->second = rec;
+    auto reply = try_control(static_cast<std::size_t>(src), dump);
+    if (!reply) continue;
+    for (auto& entry : reply->entries) {
+      auto [it, inserted] = newest.try_emplace(entry.key, entry);
+      if (!inserted && entry.version > it->second.version)
+        it->second = std::move(entry);
     }
   }
-  std::size_t updated = 0;
-  for (const auto& [key, rec] : newest) {
-    const auto local = joiner.store().version_of(key);
-    if (local.has_value() && *local >= rec.version) continue;
-    joiner.store().apply(key, rec.value, rec.version, store::kNoTx);
-    ++updated;
-  }
+  ControlRequest push = control_op(Op::kSeed);
+  push.entries.reserve(newest.size());
+  for (const auto& [key, entry] : newest) push.entries.push_back(entry);
+  const std::size_t updated = control(joiner, push).count;
 
-  // Finish those commits locally with the versions just installed (apply()
-  // keeps the newer one): this releases the lease and the protections and
-  // records the commit, so a late phase-two replay acks kDuplicate.
-  for (const dtm::OpenPrepare& prepare : committed_elsewhere) {
-    dtm::CommitRequest commit{prepare.tx, prepare.keys, {}, {}, joiner.group()};
-    for (const auto& key : prepare.keys) {
+  // Finish those commits on the still-down joiner with the versions just
+  // installed: this releases the lease and the protections and records the
+  // commit, so a late phase-two replay acks kDuplicate.
+  for (const dtm::OpenPrepare* prepare : committed) {
+    dtm::CommitRequest commit{prepare->tx, prepare->keys, {}, {}, group_of(id)};
+    for (const auto& key : prepare->keys) {
       const auto it = newest.find(key);
       if (it == newest.end()) break;
       commit.values.push_back(it->second.value);
       commit.versions.push_back(it->second.version);
     }
     if (commit.values.size() != commit.keys.size()) continue;
-    dtm::Request request;
-    request.payload = std::move(commit);
-    joiner.handle(id, request);
+    query.request.payload = std::move(commit);
+    control(joiner, query);
   }
 
-  network_.set_node_down(id, false);
+  // Reopen the data plane: the replica (a TCP replica lifts its
+  // suspension), then the transport.
+  control(joiner, control_op(Op::kResume));
+  transport_->set_node_down(id, false);
 
-  obs::Observability* obs = config_.stub.obs;
-  if (obs != nullptr) {
+  const bool durable = config_.durability.mode == DurabilityMode::kWal;
+  if (obs::Observability* obs = config_.stub.obs) {
     obs->recovery_catchup_keys.add(updated);
-    if (wal != nullptr) {
+    if (durable) {
       // For a durable node the peer sync was a delta pass on top of log
       // replay; `updated` is what the log could not cover.
       obs->recovery_delta_keys.add(updated);
       obs->recovery_time_ns.observe(now_ns() - start_ns);
     }
   }
-  if (wal != nullptr) {
-    // Make the recovered + caught-up state durable in one snapshot; this
-    // also compacts the log the replay just consumed.
-    checkpoint_node(static_cast<std::size_t>(id));
-  }
+  // Make the recovered + caught-up state durable in one snapshot; this
+  // also compacts the log the replay just consumed.
+  checkpoint_node(joiner);
   return updated;
 }
 
@@ -553,71 +464,6 @@ std::vector<net::NodeId> Cluster::catchup_sources(net::NodeId id,
         if (peer != id) sources.push_back(peer);
   }
   return sources;
-}
-
-std::size_t Cluster::restart_remote_node(net::NodeId id, CatchUpScope scope) {
-  const std::uint64_t start_ns = now_ns();
-  const bool durable = config_.durability.mode == DurabilityMode::kWal;
-
-  // Disk-faithful reboot, remotely: the replica sheds its volatile state
-  // and recovers from its own log/snapshot (a no-op for volatile nodes,
-  // which simply kept their store — the "offline node rejoins" case).
-  transport::ControlRequest restart;
-  restart.op = transport::ControlOp::kRestart;
-  tcp().control(id, restart);
-
-  // The joiner's post-recovery versions, so the peer sync ships a delta.
-  std::unordered_map<store::ObjectKey, store::Version, store::ObjectKeyHash>
-      local;
-  for (auto& [key, rec] : store_snapshot(static_cast<std::size_t>(id)))
-    local[key] = rec.version;
-
-  // Same source-selection policy as the sim path, same intersection-property
-  // argument; dumps ride the control plane so a data-plane partition cannot
-  // starve recovery.
-  std::unordered_map<store::ObjectKey, store::VersionedRecord,
-                     store::ObjectKeyHash>
-      newest;
-  for (const net::NodeId src : catchup_sources(id, scope)) {
-    if (transport_->node_down(src)) continue;
-    transport::ControlRequest dump;
-    dump.op = transport::ControlOp::kDump;
-    const auto reply = tcp().try_control(src, dump);
-    if (!reply) continue;
-    for (auto& entry : reply->entries) {
-      store::VersionedRecord rec{std::move(entry.value), entry.version};
-      auto [it, inserted] = newest.try_emplace(entry.key, rec);
-      if (!inserted && rec.version > it->second.version)
-        it->second = std::move(rec);
-    }
-  }
-
-  transport::ControlRequest push;
-  push.op = transport::ControlOp::kSeed;
-  for (auto& [key, rec] : newest) {
-    const auto it = local.find(key);
-    if (it != local.end() && it->second >= rec.version) continue;
-    push.entries.push_back({key, rec.value, rec.version});
-  }
-  const std::size_t updated = push.entries.size();
-  if (!push.entries.empty()) tcp().control(id, push);
-
-  // Reopen the data plane server-side, then client-side.
-  transport::ControlRequest resume;
-  resume.op = transport::ControlOp::kResume;
-  tcp().control(id, resume);
-  transport_->set_node_down(id, false);
-
-  obs::Observability* obs = config_.stub.obs;
-  if (obs != nullptr) {
-    obs->recovery_catchup_keys.add(updated);
-    if (durable) {
-      obs->recovery_delta_keys.add(updated);
-      obs->recovery_time_ns.observe(now_ns() - start_ns);
-    }
-  }
-  if (durable) checkpoint_node(static_cast<std::size_t>(id));
-  return updated;
 }
 
 }  // namespace acn::harness

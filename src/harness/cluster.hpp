@@ -16,7 +16,7 @@
 
 #include <chrono>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/dtm/quorum_stub.hpp"
@@ -26,12 +26,12 @@
 #include "src/quorum/offset_quorum.hpp"
 #include "src/quorum/rowa_quorum.hpp"
 #include "src/quorum/tree_quorum.hpp"
+#include "src/transport/replica_host.hpp"
 #include "src/wal/persistence.hpp"
 
 namespace acn::transport {
 class TcpTransport;
 class ProcessFleet;
-struct ReplicaProbe;
 }  // namespace acn::transport
 
 namespace acn::harness {
@@ -140,8 +140,11 @@ class Cluster {
   /// Total replica count across all groups (n_servers * n_groups) in both
   /// transport modes.  Client node ids start at size().
   std::size_t size() const noexcept { return total_nodes_; }
-  /// True when the replicas are remote cluster_main processes — server(i)
-  /// and servers() are then unavailable (use store_snapshot() / mirror()).
+  /// True when the replicas are remote cluster_main processes — server(i),
+  /// servers() and network() are then unavailable (use store_snapshot() /
+  /// mirror()).  Every replica-control operation below works in both
+  /// modes: it reaches node i's transport::ReplicaHost in-process (sim) or
+  /// over the TCP control plane.
   bool remote() const noexcept {
     return config_.transport_mode == TransportMode::kTcp;
   }
@@ -190,10 +193,10 @@ class Cluster {
                                   std::uint64_t seed = 0);
 
   /// Seed `key` = `value` (version 1) on every replica, or only on group
-  /// `group`'s replicas when given.  Sim mode installs immediately; TCP
-  /// mode buffers and ships per-node batches on flush_seeds() — call it
-  /// once after the seeding loop (stub traffic before the flush would read
-  /// unseeded state).
+  /// `group`'s replicas when given.  Seeds are buffered, one copy per
+  /// group, until flush_seeds() sends each replica one kSeed — call it
+  /// once after the seeding loop (traffic before the flush reads unseeded
+  /// state).  kSeed installs version-guarded, so seed each key once.
   void seed_object(const store::ObjectKey& key, const store::Record& value);
   void seed_object(const store::ObjectKey& key, const store::Record& value,
                    std::size_t group);
@@ -218,10 +221,9 @@ class Cluster {
   std::vector<dtm::InDoubtTx> indoubt_transactions(std::size_t i);
 
   /// Replica `i`'s cheap gauges — open leases, protected keys, wrong-group
-  /// refusals, parked in-doubt count, open prepares — read off the Server
-  /// in sim mode, via a kProbe control round-trip in TCP mode.  An
-  /// unreachable remote replica reports all-zero (callers summing across
-  /// the fleet tolerate a crashed node).
+  /// refusals, parked in-doubt count, open prepares — from a kProbe control
+  /// op.  An unreachable remote replica reports all-zero (callers summing
+  /// across the fleet tolerate a crashed node).
   transport::ReplicaProbe probe_replica(std::size_t i);
 
   /// Roll every server's contention window (harness interval boundary).
@@ -241,16 +243,17 @@ class Cluster {
   /// directory (disk-loss crash: only peer catch-up can rebuild it).
   void crash_node(net::NodeId id, bool lose_disk = false);
 
-  /// Rejoin a crashed node.  A durable node first clears its volatile
-  /// state, reloads the newest snapshot, replays its log (re-arming
-  /// unresolved prepares as leased protections), and only then runs the
-  /// peer sync — which becomes a *delta* pass fetching just what the log
-  /// lost (at most one group-commit window).  Volatile nodes run the full
-  /// peer sync as before.  The scope picks the peers: a read quorum
-  /// suffices by the intersection property; kAllReplicas is exhaustive.
-  /// An open prepare on the node that a peer remembers committing is then
-  /// finished as that commit.  Returns the number of keys whose version
-  /// advanced during the sync.
+  /// Rejoin a crashed node, in both modes through the control plane.  A
+  /// durable node first clears its volatile state, reloads the newest
+  /// snapshot, replays its log (re-arming unresolved prepares as leased
+  /// protections), and only then runs the peer sync — which becomes a
+  /// *delta* pass fetching just what the log lost (at most one
+  /// group-commit window).  Volatile nodes run the full peer sync.  The
+  /// scope picks the peers: a read quorum suffices by the intersection
+  /// property; kAllReplicas is exhaustive.  An open prepare on the node
+  /// that a peer remembers committing (asked with a DecisionQuery) is then
+  /// finished as that commit before the node serves again.  Returns the
+  /// number of keys whose version advanced during the sync.
   std::size_t restart_node(net::NodeId id,
                            CatchUpScope scope = CatchUpScope::kReadQuorum);
 
@@ -262,9 +265,10 @@ class Cluster {
   void checkpoint_node(std::size_t i);
   void checkpoint_all();
 
-  /// Node `i`'s durable backend, or nullptr when durability is off.
+  /// Node `i`'s durable backend, or nullptr when durability is off (and
+  /// in TCP mode, where it lives in the replica process).
   wal::ReplicaPersistence* persistence(std::size_t i) {
-    return i < persistence_.size() ? persistence_[i].get() : nullptr;
+    return i < hosts_.size() ? hosts_[i]->persistence() : nullptr;
   }
 
   /// Route RPC instrumentation from stubs made after this call — and the
@@ -272,9 +276,7 @@ class Cluster {
   /// bundle before spawning clients).
   void set_obs(obs::Observability* obs) noexcept {
     config_.stub.obs = obs;
-    for (auto& server : servers_) server->set_obs(obs);
-    for (auto& persistence : persistence_)
-      if (persistence) persistence->set_obs(obs);
+    for (auto& host : hosts_) host->set_obs(obs);
   }
 
   const ClusterConfig& config() const noexcept { return config_; }
@@ -286,25 +288,35 @@ class Cluster {
   bool shutdown_fleet();
 
  private:
+  /// Throws std::logic_error naming `op` on a TCP cluster.
+  void require_sim(const char* op) const;
+  transport::ReplicaConfig replica_config(std::size_t i) const;
   void spawn_fleet();
-  transport::TcpTransport& tcp();
+  /// Node i's control plane: its host in sim mode, TcpTransport::control
+  /// in TCP mode.  control() throws transport::TransportError when the
+  /// node is unreachable or reports !ok; try_control() returns nullopt
+  /// when it is unreachable.
+  transport::ControlReply control(std::size_t i,
+                                  const transport::ControlRequest& req);
+  std::optional<transport::ControlReply> try_control(
+      std::size_t i, const transport::ControlRequest& req);
   std::vector<net::NodeId> catchup_sources(net::NodeId id, CatchUpScope scope);
-  std::size_t restart_remote_node(net::NodeId id, CatchUpScope scope);
 
   ClusterConfig config_;
   std::size_t total_nodes_ = 0;
-  // Declared before servers_ so each sink outlives the server pointing at it.
-  std::vector<std::unique_ptr<wal::ReplicaPersistence>> persistence_;
-  std::vector<std::unique_ptr<dtm::Server>> servers_;
+  /// One kSeed request per group, filled by seed_object() and sent to each
+  /// replica by flush_seeds().  Declared before hosts_: freeing its buffer
+  /// after the stores makes glibc merge their many small chunks during
+  /// teardown, not in the next cluster's first allocation (+1-2 ms, a
+  /// quarter of a back-to-back Bank set-up).
+  std::vector<transport::ControlRequest> pending_seeds_;
+  /// Sim mode: one replica (server + optional WAL) per node.
+  std::vector<std::unique_ptr<transport::ReplicaHost>> hosts_;
   dtm::DtmNetwork network_;
   /// The mode-selected transport every stub and fault plan routes through.
   std::unique_ptr<dtm::DtmTransport> transport_;
   transport::TcpTransport* tcp_ = nullptr;  // transport_'s TCP face, if any
   std::unique_ptr<transport::ProcessFleet> fleet_;
-  /// TCP mode: seeds buffered per node until flush_seeds().
-  std::unordered_map<std::size_t,
-                     std::vector<std::pair<store::ObjectKey, store::Record>>>
-      pending_seeds_;
   /// One quorum system per group, indexed by group id.
   std::vector<std::unique_ptr<quorum::QuorumSystem>> quorums_;
   /// Varies the read quorum successive restart_node() calls sync from, so

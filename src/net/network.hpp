@@ -137,25 +137,28 @@ class Network {
       : latency_(std::move(latency)) {}
 
   /// Register node `id`'s request handler (executed inline on the calling
-  /// thread).  Must happen before traffic flows; not thread-safe against
-  /// concurrent calls.
+  /// thread).  Must happen before traffic to `id` flows: call() and
+  /// multicall() read the node table without a lock.  Fault injectors may
+  /// run concurrently — set_node_down() and node_down() share node_mutex_
+  /// with this call, which can grow (and so move) the table.
   void register_node(NodeId id, Handler handler) {
+    std::lock_guard lock(node_mutex_);
     auto& node = node_slot(id);
     node.handler = guarded(std::move(handler));
     node.down.store(false);
   }
-
-  std::size_t node_count() const noexcept { return nodes_.size(); }
 
   /// Fault injection: mark a node unreachable / reachable.  Throws
   /// std::invalid_argument for an id no register_node() call ever named, so
   /// a bench with a bad victim list fails with a message instead of an
   /// out_of_range from deep inside the container.
   void set_node_down(NodeId id, bool down) {
+    std::lock_guard lock(node_mutex_);
     require_known(id, "set_node_down");
     nodes_[static_cast<std::size_t>(id)].down.store(down);
   }
   bool node_down(NodeId id) const {
+    std::lock_guard lock(node_mutex_);
     require_known(id, "node_down");
     return nodes_[static_cast<std::size_t>(id)].down.load();
   }
@@ -432,6 +435,8 @@ class Network {
   }
 
   std::shared_ptr<const LatencyModel> latency_;
+  // Held by register_node / set_node_down / node_down, never per message.
+  mutable std::mutex node_mutex_;
   std::vector<Node> nodes_;
   std::atomic<double> drop_probability_{0.0};
   std::atomic<std::int64_t> extra_latency_ns_{0};

@@ -143,10 +143,6 @@ class Client final : public harness::Submitter {
            const std::vector<acn::ir::Record>& params,
            acn::ExecStats& stats) override;
 
-  const CoordinatorStats& coordinator_stats() const noexcept {
-    return coordinator_.stats();
-  }
-
  private:
   ClientStats& stats_;
   ExecMode mode_ = ExecMode::kAcn;

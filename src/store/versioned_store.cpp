@@ -63,16 +63,18 @@ void VersionedStore::unprotect(const ObjectKey& key, TxId tx) {
     shard.map.erase(it);
 }
 
-void VersionedStore::apply(const ObjectKey& key, const Record& value,
+bool VersionedStore::apply(const ObjectKey& key, const Record& value,
                            Version version, TxId tx) {
   auto& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   auto& entry = shard.map[key];
-  if (version > entry.version) {
+  const bool advanced = version > entry.version;
+  if (advanced) {
     entry.value = value;
     entry.version = version;
   }
   if (entry.protected_by == tx) entry.protected_by = kNoTx;
+  return advanced;
 }
 
 std::size_t VersionedStore::object_count() const {

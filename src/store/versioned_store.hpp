@@ -65,7 +65,8 @@ class VersionedStore {
   /// Install `value` at `version` and release `tx`'s protection.  Versions
   /// only move forward: an older version than the replica already holds is
   /// ignored (the replica was updated by a later-intersecting quorum).
-  void apply(const ObjectKey& key, const Record& value, Version version, TxId tx);
+  /// Returns whether the version advanced.
+  bool apply(const ObjectKey& key, const Record& value, Version version, TxId tx);
 
   std::size_t object_count() const;
 

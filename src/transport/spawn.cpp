@@ -144,12 +144,6 @@ int ProcessFleet::spawn(const std::string& binary, int node,
   return port;
 }
 
-bool ProcessFleet::alive(int node) const {
-  for (const SpawnedNode& n : nodes_)
-    if (n.node == node && n.pid > 0) return ::kill(n.pid, 0) == 0;
-  return false;
-}
-
 bool ProcessFleet::wait_all(std::chrono::milliseconds grace) {
   bool clean = true;
   const auto deadline = std::chrono::steady_clock::now() + grace;

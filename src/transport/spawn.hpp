@@ -48,9 +48,6 @@ class ProcessFleet {
             const std::vector<std::string>& args, const std::string& log_path,
             std::chrono::milliseconds ready_timeout);
 
-  const std::vector<SpawnedNode>& nodes() const noexcept { return nodes_; }
-  bool alive(int node) const;
-
   /// Reap every child, waiting up to `grace` for voluntary exit, then
   /// SIGKILL + reap stragglers.  Returns true when all exited voluntarily
   /// with status 0.

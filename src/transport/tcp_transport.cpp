@@ -792,22 +792,7 @@ void TcpTransport::clear_link_faults() {
   impl_->links.clear();
 }
 
-ControlReply TcpTransport::control(net::NodeId to, const ControlRequest& req) {
-  auto reply = try_control(to, req);
-  if (!reply)
-    throw TransportError("control op " +
-                         std::to_string(static_cast<int>(req.op)) +
-                         " to node " + std::to_string(to) +
-                         " failed (unreachable or timed out)");
-  if (!reply->ok)
-    throw TransportError("control op " +
-                         std::to_string(static_cast<int>(req.op)) +
-                         " to node " + std::to_string(to) +
-                         " rejected: " + reply->error);
-  return *std::move(reply);
-}
-
-std::optional<ControlReply> TcpTransport::try_control(
+std::optional<ControlReply> TcpTransport::control(
     net::NodeId to, const ControlRequest& req) {
   Impl::Peer* peer = nullptr;
   {

@@ -68,8 +68,8 @@ struct TcpTransportConfig {
   std::size_t max_frame = kMaxFramePayload;
 };
 
-/// Thrown by the control plane on connection failure, timeout, or a
-/// peer-reported error.
+/// Thrown by harness::Cluster's control path when a replica is
+/// unreachable, times out, or reports an error.
 class TransportError : public std::runtime_error {
  public:
   explicit TransportError(const std::string& what)
@@ -111,21 +111,15 @@ class TcpTransport final : public dtm::DtmTransport {
   const net::TransportCounters& counters() const override { return counters_; }
 
   // -- control plane ------------------------------------------------------
-  /// Round-trip one management op to `to`; throws TransportError when the
-  /// peer is unreachable, times out, or reports !ok.
-  ControlReply control(net::NodeId to, const ControlRequest& req);
-
-  /// Like control(), but returns nullopt instead of throwing — for
-  /// teardown paths that must visit every peer regardless of health.
-  std::optional<ControlReply> try_control(net::NodeId to,
-                                          const ControlRequest& req);
+  /// Round-trip one management op to `to`; nullopt when the peer is
+  /// unreachable or times out.  A reply the peer marks !ok still returns
+  /// (harness::Cluster::control turns both into a TransportError).
+  std::optional<ControlReply> control(net::NodeId to,
+                                      const ControlRequest& req);
 
   /// Close every connection and stop the IO thread (idempotent; the
   /// destructor calls it).  In-flight calls fail with kDropped.
   void close();
-
-  /// Peers this transport can reach (the fleet's data-plane endpoints).
-  const std::map<net::NodeId, Endpoint>& peers() const { return peers_; }
 
  private:
   struct Impl;

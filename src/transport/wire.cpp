@@ -7,21 +7,6 @@ using dtm::CodecError;
 using dtm::Decoder;
 using dtm::Encoder;
 
-void put_string(Encoder& enc, const std::string& s) {
-  enc.u32(static_cast<std::uint32_t>(s.size()));
-  for (const char c : s) enc.u8(static_cast<std::uint8_t>(c));
-}
-
-std::string read_string(Decoder& dec) {
-  const std::uint32_t n = dec.u32();
-  if (n > dec.remaining()) throw CodecError("string length exceeds buffer");
-  std::string out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    out.push_back(static_cast<char>(dec.u8()));
-  return out;
-}
-
 void put_entry(Encoder& enc, const SeedEntry& e) {
   enc.key(e.key);
   enc.record(e.value);
@@ -36,15 +21,18 @@ SeedEntry read_entry(Decoder& dec) {
   return e;
 }
 
-void put_indoubt(Encoder& enc, const dtm::InDoubtTx& t) {
+// InDoubtTx and OpenPrepare share their leading fields.
+template <class Tx>
+void put_tx(Encoder& enc, const Tx& t) {
   enc.u64(t.tx);
   enc.list(t.keys, [&](const store::ObjectKey& k) { enc.key(k); });
   enc.list(t.participants, [&](std::uint32_t g) { enc.u32(g); });
   enc.i64(t.coordinator);
 }
 
-dtm::InDoubtTx read_indoubt(Decoder& dec) {
-  dtm::InDoubtTx t;
+template <class Tx>
+Tx read_tx(Decoder& dec) {
+  Tx t;
   t.tx = dec.u64();
   t.keys = dec.list<store::ObjectKey>([&] { return dec.key(); });
   t.participants = dec.list<std::uint32_t>([&] { return dec.u32(); });
@@ -52,10 +40,30 @@ dtm::InDoubtTx read_indoubt(Decoder& dec) {
   return t;
 }
 
+void put_prepare(Encoder& enc, const dtm::OpenPrepare& p) {
+  put_tx(enc, p);
+  enc.list(p.values, [&](const store::Record& r) { enc.record(r); });
+}
+
+dtm::OpenPrepare read_prepare(Decoder& dec) {
+  auto p = read_tx<dtm::OpenPrepare>(dec);
+  p.values = dec.list<store::Record>([&] { return dec.record(); });
+  return p;
+}
+
+// Length-prefixed bytes: a nested dtm message's encoding, or a string.
+void put_bytes(Encoder& enc, const std::vector<std::uint8_t>& bytes) {
+  enc.list(bytes, [&](std::uint8_t b) { enc.u8(b); });
+}
+
+std::vector<std::uint8_t> read_bytes(Decoder& dec) {
+  return dec.list<std::uint8_t>([&] { return dec.u8(); });
+}
+
 ControlOp read_op(Decoder& dec) {
   const std::uint8_t raw = dec.u8();
   if (raw < static_cast<std::uint8_t>(ControlOp::kPing) ||
-      raw > static_cast<std::uint8_t>(ControlOp::kShutdown))
+      raw > static_cast<std::uint8_t>(ControlOp::kHandle))
     throw CodecError("unknown control op");
   return static_cast<ControlOp>(raw);
 }
@@ -86,6 +94,7 @@ std::vector<std::uint8_t> encode_control(const ControlRequest& req) {
   enc.list(req.entries, [&](const SeedEntry& e) { put_entry(enc, e); });
   enc.list(req.classes, [&](store::ClassId c) { enc.u32(c); });
   enc.boolean(req.lose_disk);
+  put_bytes(enc, dtm::encode(req.request));
   return enc.take();
 }
 
@@ -96,6 +105,7 @@ ControlRequest decode_control(std::span<const std::uint8_t> body) {
   req.entries = dec.list<SeedEntry>([&] { return read_entry(dec); });
   req.classes = dec.list<store::ClassId>([&] { return dec.u32(); });
   req.lose_disk = dec.boolean();
+  req.request = dtm::decode_request(read_bytes(dec));
   if (!dec.exhausted()) throw CodecError("trailing bytes in control request");
   return req;
 }
@@ -103,16 +113,19 @@ ControlRequest decode_control(std::span<const std::uint8_t> body) {
 std::vector<std::uint8_t> encode_control_reply(const ControlReply& reply) {
   Encoder enc;
   enc.boolean(reply.ok);
-  put_string(enc, reply.error);
+  put_bytes(enc, {reply.error.begin(), reply.error.end()});
   enc.list(reply.entries, [&](const SeedEntry& e) { put_entry(enc, e); });
   enc.list(reply.levels, [&](std::uint64_t v) { enc.u64(v); });
   enc.u64(reply.count);
-  enc.list(reply.indoubt, [&](const dtm::InDoubtTx& t) { put_indoubt(enc, t); });
+  enc.list(reply.indoubt, [&](const dtm::InDoubtTx& t) { put_tx(enc, t); });
   enc.u64(reply.probe.open_leases);
   enc.u64(reply.probe.protected_keys);
   enc.u64(reply.probe.wrong_group);
   enc.u64(reply.probe.indoubt);
   enc.u64(reply.probe.open_prepares);
+  enc.list(reply.prepares,
+           [&](const dtm::OpenPrepare& p) { put_prepare(enc, p); });
+  put_bytes(enc, dtm::encode(reply.response));
   return enc.take();
 }
 
@@ -120,16 +133,21 @@ ControlReply decode_control_reply(std::span<const std::uint8_t> body) {
   Decoder dec(body);
   ControlReply reply;
   reply.ok = dec.boolean();
-  reply.error = read_string(dec);
+  const auto error = read_bytes(dec);
+  reply.error.assign(error.begin(), error.end());
   reply.entries = dec.list<SeedEntry>([&] { return read_entry(dec); });
   reply.levels = dec.list<std::uint64_t>([&] { return dec.u64(); });
   reply.count = dec.u64();
-  reply.indoubt = dec.list<dtm::InDoubtTx>([&] { return read_indoubt(dec); });
+  reply.indoubt =
+      dec.list<dtm::InDoubtTx>([&] { return read_tx<dtm::InDoubtTx>(dec); });
   reply.probe.open_leases = dec.u64();
   reply.probe.protected_keys = dec.u64();
   reply.probe.wrong_group = dec.u64();
   reply.probe.indoubt = dec.u64();
   reply.probe.open_prepares = dec.u64();
+  reply.prepares =
+      dec.list<dtm::OpenPrepare>([&] { return read_prepare(dec); });
+  reply.response = dtm::decode_response(read_bytes(dec));
   if (!dec.exhausted()) throw CodecError("trailing bytes in control reply");
   return reply;
 }
@@ -159,16 +177,6 @@ std::vector<std::uint8_t> encode_request_payload(std::uint64_t id,
   enc.i64(from);
   std::vector<std::uint8_t> out = enc.take();
   const std::vector<std::uint8_t> body = dtm::encode(req);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-std::vector<std::uint8_t> encode_response_payload(std::uint64_t id,
-                                                  const dtm::Response& res) {
-  Encoder enc;
-  put_envelope(enc, FrameKind::kResponse, id);
-  std::vector<std::uint8_t> out = enc.take();
-  const std::vector<std::uint8_t> body = dtm::encode(res);
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }

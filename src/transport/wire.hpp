@@ -16,16 +16,19 @@
 //   kControl      body: encoded ControlRequest
 //   kControlReply body: encoded ControlReply
 //
-// The control plane is the harness's management surface over a replica
-// process: seeding, store dumps, contention-window rolls, crash /
-// restart / resume orchestration, lease expiry, in-doubt listing, probes
-// and shutdown.  It deliberately rides a SEPARATE connection per peer —
-// chaos suspends a replica's data plane (connection kills + refusing new
-// data hellos) while control keeps answering, modelling the out-of-band
-// operator access a real deployment retains into a partitioned node.
-// Everything is encoded with the dtm codec primitives, so control
-// messages inherit the wire discipline (and CodecError on malformed
-// bytes) of the protocol proper.
+// The control plane is the harness's management surface over a replica:
+// seeding, store dumps, window rolls, crash / restart / resume, lease
+// expiry, in-doubt listing, probes, shutdown, and kHandle, which hands one
+// dtm::Request to the replica's Server::handle (a rejoin asks its peers
+// for 2PC decisions and finishes a committed prepare this way).
+// transport::ReplicaHost answers every op for both transports: sim mode
+// passes it these structs in-process, TCP mode encodes them for the host
+// inside cluster_main.  Over TCP the control plane rides a SEPARATE
+// connection per peer — chaos suspends a replica's data plane (connection
+// kills + refusing new data hellos) while control keeps answering,
+// modelling the out-of-band operator access a real deployment retains into
+// a partitioned node.  Control messages use the dtm codec primitives, so
+// they inherit its wire discipline (and CodecError on malformed bytes).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "src/dtm/codec.hpp"
+#include "src/dtm/durability.hpp"
 #include "src/dtm/server.hpp"
 
 namespace acn::transport {
@@ -71,13 +75,15 @@ enum class ControlOp : std::uint8_t {
   kRollWindows = 4,   // roll the contention window
   kClassLevels = 5,   // contention levels for the named classes
   kCrash = 6,         // drop unflushed WAL, optionally wipe disk, suspend
-  kRestart = 7,       // reset volatile state, recover from disk
+  kRestart = 7,       // reset volatile state, recover from disk; list
+                      // the prepares still open
   kResume = 8,        // lift suspension (rejoin the data plane)
   kCheckpoint = 9,    // flush WAL + cut a snapshot
   kExpireLeases = 10, // expire stale prepare leases now
   kIndoubtList = 11,  // cross-shard prepares parked in-doubt
   kProbe = 12,        // cheap replica gauges (leases, protected, ...)
   kShutdown = 13,     // clean process exit
+  kHandle = 14,       // one dtm::Request through Server::handle
 };
 
 /// One object installed by kSeed / returned by kDump.
@@ -85,6 +91,8 @@ struct SeedEntry {
   store::ObjectKey key;
   store::Record value;
   store::Version version = 1;
+
+  friend bool operator==(const SeedEntry&, const SeedEntry&) = default;
 };
 
 struct ControlRequest {
@@ -92,15 +100,22 @@ struct ControlRequest {
   std::vector<SeedEntry> entries;       // kSeed
   std::vector<store::ClassId> classes;  // kClassLevels
   bool lose_disk = false;               // kCrash
+  dtm::Request request;                 // kHandle
+
+  friend bool operator==(const ControlRequest&,
+                         const ControlRequest&) = default;
 };
 
-/// Cheap gauges the sim harness reads straight off the Server object.
+/// A replica's cheap gauges, read by kProbe (ReplicaHost fills them for
+/// both transports).
 struct ReplicaProbe {
   std::uint64_t open_leases = 0;
   std::uint64_t protected_keys = 0;
   std::uint64_t wrong_group = 0;
   std::uint64_t indoubt = 0;
   std::uint64_t open_prepares = 0;
+
+  friend bool operator==(const ReplicaProbe&, const ReplicaProbe&) = default;
 };
 
 struct ControlReply {
@@ -108,9 +123,14 @@ struct ControlReply {
   std::string error;                    // when !ok
   std::vector<SeedEntry> entries;       // kDump
   std::vector<std::uint64_t> levels;    // kClassLevels
-  std::uint64_t count = 0;              // kSeed applied / kExpireLeases expired
+  /// kSeed: keys whose version advanced; kExpireLeases: leases expired.
+  std::uint64_t count = 0;
   std::vector<dtm::InDoubtTx> indoubt;  // kIndoubtList
   ReplicaProbe probe;                   // kProbe
+  std::vector<dtm::OpenPrepare> prepares;  // kRestart: still open after it
+  dtm::Response response;               // kHandle
+
+  friend bool operator==(const ControlReply&, const ControlReply&) = default;
 };
 
 /// Body-only encoders (no envelope — combine with make_payload).
@@ -131,7 +151,5 @@ std::vector<std::uint8_t> encode_hello(Channel channel, std::int64_t node);
 std::vector<std::uint8_t> encode_request_payload(std::uint64_t id,
                                                  net::NodeId from,
                                                  const dtm::Request& req);
-std::vector<std::uint8_t> encode_response_payload(std::uint64_t id,
-                                                  const dtm::Response& res);
 
 }  // namespace acn::transport

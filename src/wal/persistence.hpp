@@ -57,6 +57,8 @@ struct WalConfig {
   /// fsync data after each flush and snapshot.  Off keeps unit tests fast
   /// while still exercising the full append/replay path.
   bool fsync = true;
+
+  friend bool operator==(const WalConfig&, const WalConfig&) = default;
 };
 
 struct RecoveredState {

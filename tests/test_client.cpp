@@ -182,6 +182,7 @@ TEST(Client, SingleShardFastPathNeverTouchesOtherGroups) {
   const ShardMap map = range_map(2);
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{100, 0});
+  cluster.flush_seeds();
 
   ClientStats stats;
   Client client(cluster, router, stats, /*client_ordinal=*/0, fast_executor(),
@@ -212,6 +213,7 @@ TEST(Client, MispredictionCommitsWithoutReRunOrSecondAdmit) {
   // static prediction cannot see.
   seed_sharded(cluster, map, {1, 5}, Record{50, 105});
   seed_sharded(cluster, map, {1, 105}, Record{50, 0});
+  cluster.flush_seeds();
 
   ClientStats stats;
   Client client(cluster, router, stats, 0, fast_executor(), 11);
@@ -253,6 +255,7 @@ TEST(Client, MispredictionCountsOncePerCommittedTransaction) {
   const ObjectKey home{1, 5}, away{1, 105};
   seed_sharded(cluster, map, home, Record{50, 105});
   seed_sharded(cluster, map, away, Record{50, 0});
+  cluster.flush_seeds();
 
   // On the first attempt only, a rival commits a new version of the away
   // key after the chase read it: that attempt's prepare is refused, the
@@ -306,6 +309,7 @@ TEST(Client, CrossShardPathIsAdmissionGatedAndClassifiesAborts) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{500});
   seed_sharded(cluster, map, dst, Record{500});
+  cluster.flush_seeds();
 
   // On the first attempt only, a rival commits a new version of dst after
   // this transaction read it — the 2PC prepare must fail validation, the
@@ -363,6 +367,7 @@ TEST(Client, CrossShardCommitAbortRestartsCheckpointedRunInFull) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{500});
   seed_sharded(cluster, map, dst, Record{500});
+  cluster.flush_seeds();
   CrossShardCoordinator rival(cluster, router, /*client_ordinal=*/9);
   bool rival_fired = false;
   const auto program = transfer_program([&] {
@@ -408,6 +413,7 @@ TEST(Client, ManualCnBlocksExecuteAcrossShards) {
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{500});
   seed_sharded(cluster, map, {1, 105}, Record{500});
+  cluster.flush_seeds();
 
   const auto program = transfer_program();
   const auto model =
@@ -444,6 +450,7 @@ BatchedBlockRun run_one_batched_block(const std::vector<ObjectKey>& keys) {
   const ShardMap map = range_map(2);
   ShardRouter router(map);
   for (const ObjectKey& key : keys) seed_sharded(cluster, map, key, Record{10});
+  cluster.flush_seeds();
 
   ProgramBuilder b("client.spread", 0);
   std::vector<VarId> vars;
@@ -518,6 +525,7 @@ TEST(Client, AbandonedCommitResolvesBeforeChaosStopDeclaresHealed) {
   const ObjectKey src{1, 5}, dst{1, 105};  // groups 0 and 1
   seed_sharded(cluster, map, src, Record{500});
   seed_sharded(cluster, map, dst, Record{500});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, /*client_ordinal=*/9);
   {

@@ -1,6 +1,7 @@
 // Wire-codec tests: round-trip fidelity for every message type, edge
 // cases, corruption handling, randomized fuzz, and end-to-end coverage by
-// running a real cluster with StubConfig::verify_codec enabled.
+// running a real cluster with StubConfig::verify_codec enabled; the
+// control-plane bodies and the TCP frame header.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,6 +9,7 @@
 
 #include "src/dtm/codec.hpp"
 #include "src/transport/frame.hpp"
+#include "src/transport/wire.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/workloads/bank.hpp"
 #include "src/acn/executor.hpp"
@@ -397,6 +399,89 @@ TEST(Codec, FuzzEveryMessageTypeRoundTrips) {
     }
     EXPECT_EQ(roundtrip(response), response) << "response trial " << trial;
   }
+}
+
+// ---- control plane (src/transport/wire.hpp) ------------------------------
+//
+// Sim clusters hand ControlRequests to their ReplicaHosts without encoding
+// them, so only these tests and spawned TCP fleets exercise the control
+// codec.
+
+transport::ControlRequest full_control_request(transport::ControlOp op) {
+  transport::ControlRequest r;
+  r.op = op;
+  r.entries = {{kA, Record{1, -2}, 3}, {kB, Record{}, 9}};
+  r.classes = {3, 4, 70000};
+  r.lose_disk = true;
+  r.request = req(CommitRequest{77, {kA, kB}, {Record{5}, Record{6, 7}},
+                                {2, 8}, 1});
+  return r;
+}
+
+transport::ControlReply full_control_reply() {
+  transport::ControlReply r;
+  r.ok = false;
+  r.error = "replica said no";
+  r.entries = {{kB, Record{-4}, 12}};
+  r.levels = {0, 5, UINT64_MAX};
+  r.count = 31;
+  r.indoubt = {{88, {kA}, {0, 2}, -7}, {89, {}, {}, 4}};
+  r.probe = {1, 2, 3, 4, 5};
+  r.prepares = {{90, {kA, kB}, {1, 3}, 12, {Record{1}, Record{2}}},
+                {91, {kB}, {}, -1, {}}};
+  r.response = res(DecisionReply{DecisionCode::kCommitted, {kA}, {Record{8}},
+                                 {6}});
+  return r;
+}
+
+std::vector<std::vector<std::uint8_t>> every_control_body() {
+  std::vector<std::vector<std::uint8_t>> bodies;
+  for (auto op = static_cast<std::uint8_t>(transport::ControlOp::kPing);
+       op <= static_cast<std::uint8_t>(transport::ControlOp::kHandle); ++op)
+    bodies.push_back(transport::encode_control(
+        full_control_request(static_cast<transport::ControlOp>(op))));
+  return bodies;
+}
+
+TEST(ControlCodec, EveryOpAndFieldRoundTrips) {
+  for (auto op = static_cast<std::uint8_t>(transport::ControlOp::kPing);
+       op <= static_cast<std::uint8_t>(transport::ControlOp::kHandle); ++op) {
+    const transport::ControlRequest request =
+        full_control_request(static_cast<transport::ControlOp>(op));
+    EXPECT_EQ(transport::decode_control(transport::encode_control(request)),
+              request)
+        << "op " << int{op};
+  }
+  const transport::ControlReply reply = full_control_reply();
+  EXPECT_EQ(
+      transport::decode_control_reply(transport::encode_control_reply(reply)),
+      reply);
+  // The defaults round-trip too (a kPing request, an empty ok reply).
+  EXPECT_EQ(transport::decode_control(
+                transport::encode_control(transport::ControlRequest{})),
+            transport::ControlRequest{});
+  EXPECT_EQ(transport::decode_control_reply(
+                transport::encode_control_reply(transport::ControlReply{})),
+            transport::ControlReply{});
+}
+
+TEST(ControlCodec, EveryStrictPrefixThrows) {
+  for (const auto& body : every_control_body())
+    for (std::size_t n = 0; n < body.size(); ++n)
+      EXPECT_THROW(transport::decode_control(std::span(body.data(), n)),
+                   CodecError)
+          << "op " << int{body[0]} << ", prefix " << n;
+  const auto reply = transport::encode_control_reply(full_control_reply());
+  for (std::size_t n = 0; n < reply.size(); ++n)
+    EXPECT_THROW(transport::decode_control_reply(std::span(reply.data(), n)),
+                 CodecError)
+        << "reply prefix " << n;
+}
+
+TEST(ControlCodec, UnknownOpThrows) {
+  auto body = transport::encode_control(transport::ControlRequest{});
+  body[0] = static_cast<std::uint8_t>(transport::ControlOp::kHandle) + 1;
+  EXPECT_THROW(transport::decode_control(body), CodecError);
 }
 
 // ---- TCP frame header (length prefix + CRC, src/transport/frame.hpp) -----

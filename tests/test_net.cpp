@@ -6,6 +6,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/clock.hpp"
@@ -111,6 +112,26 @@ TEST(Network, SetNodeDownUnknownIdThrows) {
   // Known ids still work after the failed calls.
   EXPECT_NO_THROW(net->set_node_down(1, true));
   EXPECT_TRUE(net->node_down(1));
+}
+
+TEST(Network, RegistrationRacesFaultInjectionSafely) {
+  // A fault thread may crash and rejoin a replica while clients are still
+  // registering their own handlers, which grows the node table.
+  auto net = make_net(1);
+  constexpr NodeId kNodes = 256;
+  std::thread registrar([&] {
+    for (NodeId id = 1; id <= kNodes; ++id)
+      net->register_node(id, [](NodeId, const Ping&) { return Pong{}; });
+  });
+  std::size_t seen_down = 0;
+  for (int i = 0; i < 2000; ++i) {
+    net->set_node_down(0, i % 2 == 0);
+    if (net->node_down(0)) ++seen_down;
+  }
+  registrar.join();
+  EXPECT_EQ(seen_down, 1000u);
+  EXPECT_FALSE(net->node_down(0));  // the last toggle brought it back up
+  for (NodeId id = 1; id <= kNodes; ++id) EXPECT_FALSE(net->node_down(id));
 }
 
 TEST(Network, ResponseLegDropSurfacesAsDrop) {

@@ -271,6 +271,7 @@ TEST(EpochService, ConcurrentSubmissionsCommitThroughEpochs) {
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{100, 0});
   seed_sharded(cluster, map, {1, 105}, Record{100, 0});
+  cluster.flush_seeds();
 
   QueueConfig config;
   config.epoch_wait = std::chrono::milliseconds{5};
@@ -328,6 +329,7 @@ TEST(EpochService, SameKeyBatchSpeculatesInsideOneEpoch) {
   const ShardMap map = range_map(1);
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{0, 0});
+  cluster.flush_seeds();
 
   // One executor, long fill window: hold the epoch open until all four
   // submissions are pending, so they land in ONE epoch and the later
@@ -367,6 +369,7 @@ TEST(EpochService, MispredictionDemotesAndEpochStillCommitsTheRest) {
   seed_sharded(cluster, map, {1, 5}, Record{100, 42});  // points at id 42
   seed_sharded(cluster, map, {1, 6}, Record{100, 0});
   seed_sharded(cluster, map, {1, 42}, Record{100, 0});
+  cluster.flush_seeds();
 
   QueueConfig config;
   config.epoch_wait = std::chrono::milliseconds{200};
@@ -416,6 +419,7 @@ TEST(EpochService, MidEpochCrashLeavesNoOrphanedPrepares) {
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{1000, 0});
   seed_sharded(cluster, map, {1, 105}, Record{1000, 0});
+  cluster.flush_seeds();
 
   QueueConfig config;
   config.epoch_wait = std::chrono::microseconds{200};
@@ -502,6 +506,7 @@ TEST(ClientLane, QueueModeRoutesPredictableTransactionsToTheLane) {
   const ShardMap map = range_map(1);
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{100, 0});
+  cluster.flush_seeds();
 
   auto lane = std::make_shared<RecordingLane>(shard::LaneOutcome::kCommitted);
   shard::ClientStats stats;
@@ -526,6 +531,7 @@ TEST(ClientLane, LaneDemotionFallsThroughToTheOptimisticPath) {
   const ShardMap map = range_map(1);
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{100, 0});
+  cluster.flush_seeds();
 
   auto lane = std::make_shared<RecordingLane>(shard::LaneOutcome::kDemoted);
   shard::ClientStats stats;
@@ -550,6 +556,7 @@ TEST(ClientLane, HybridRoutesBySchedulerHotness) {
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{100, 0});
   seed_sharded(cluster, map, {1, 7}, Record{100, 0});
+  cluster.flush_seeds();
 
   sched::SchedulerConfig sched_config;
   sched_config.policy = sched::SchedulerPolicy::kQueue;
@@ -600,6 +607,7 @@ TEST(ClientLane, RealEpochLaneBehindQueueModeClient) {
   ShardRouter router(map);
   seed_sharded(cluster, map, {1, 5}, Record{100, 0});
   seed_sharded(cluster, map, {1, 105}, Record{100, 0});
+  cluster.flush_seeds();
 
   QueueConfig config;
   config.epoch_wait = std::chrono::microseconds{100};

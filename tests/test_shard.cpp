@@ -149,6 +149,7 @@ TEST(Coordinator, ReplicatedClassReadsServeFromHomeAndWritesAreRefused) {
   const ObjectKey reference{4, 42};  // replicated: seeded on BOTH groups
   seed_sharded(cluster, map, home, Record{10});
   seed_sharded(cluster, map, reference, Record{77});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   KeyFootprint footprint = write_footprint({home});
@@ -263,6 +264,7 @@ TEST(Coordinator, SingleShardCommitNeverTouchesOtherGroups) {
   ShardRouter router(map);
   const ObjectKey home{1, 5};  // group 0
   seed_sharded(cluster, map, home, Record{100});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, /*client_ordinal=*/0);
   ShardTx tx = coordinator.begin(write_footprint({home}));
@@ -293,6 +295,7 @@ TEST(Coordinator, OverPredictedFootprintNarrowsToTheGroupsTouched) {
   const ObjectKey src{1, 5}, dst{1, 105};  // groups 0 and 1
   seed_sharded(cluster, map, src, Record{100});
   seed_sharded(cluster, map, dst, Record{100});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   ShardTx tx = coordinator.begin(write_footprint({src, dst}));
@@ -328,6 +331,7 @@ TEST(Coordinator, CrossShardTransferCommitsAtomically) {
   const ObjectKey src{1, 5}, dst{1, 105};  // groups 0 and 1
   seed_sharded(cluster, map, src, Record{1000});
   seed_sharded(cluster, map, dst, Record{1000});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   ShardTx tx = coordinator.begin(write_footprint({src, dst}));
@@ -352,6 +356,7 @@ TEST(Coordinator, ValidationConflictAbortsAndReleasesEveryGroup) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{500});
   seed_sharded(cluster, map, dst, Record{500});
+  cluster.flush_seeds();
 
   CrossShardCoordinator loser(cluster, router, 0);
   CrossShardCoordinator winner(cluster, router, 1);
@@ -386,6 +391,7 @@ TEST(Coordinator, CrashBetweenPreparesParksInDoubtThenResolvesToAbort) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{300});
   seed_sharded(cluster, map, dst, Record{300});
+  cluster.flush_seeds();
 
   CrossShardCoordinator doomed(cluster, router, 0);
   ShardTx tx = doomed.begin(write_footprint({src, dst}));
@@ -449,6 +455,7 @@ TEST(Coordinator, InDoubtGroupResolvesToCommitFromDecisionRecord) {
   const ObjectKey src{1, 5}, dst{1, 105};  // groups 0 and 1
   seed_sharded(cluster, map, src, Record{600});
   seed_sharded(cluster, map, dst, Record{600});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   ShardTx tx = coordinator.begin(write_footprint({src, dst}));
@@ -499,6 +506,7 @@ TEST(Coordinator, InDoubtStaysParkedWhileCoordinatorNodeIsDown) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{800});
   seed_sharded(cluster, map, dst, Record{800});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   ShardTx tx = coordinator.begin(write_footprint({src, dst}));
@@ -546,6 +554,7 @@ TEST(Coordinator, PartitionIsolatingAParticipantGroupAbortsCleanly) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{700});
   seed_sharded(cluster, map, dst, Record{700});
+  cluster.flush_seeds();
 
   // Cut group 1 off from everyone (clients included, like chaos isolate()).
   cluster.network().set_partition({{}, cluster.group_members(1)});
@@ -582,6 +591,7 @@ TEST(Coordinator, WalRecoveryRearmsInflightCrossShardPrepare) {
   const ObjectKey src{1, 5}, dst{1, 105};
   seed_sharded(cluster, map, src, Record{40});
   seed_sharded(cluster, map, dst, Record{40});
+  cluster.flush_seeds();
   cluster.checkpoint_all();  // seeding bypasses the WAL
 
   CrossShardCoordinator coordinator(cluster, router, 0);
@@ -628,6 +638,7 @@ TEST(Cluster, RejoinCatchUpStaysInsideTheGroup) {
   const ObjectKey k0{1, 5}, k1{1, 105};
   seed_sharded(cluster, map, k0, Record{10});
   seed_sharded(cluster, map, k1, Record{10});
+  cluster.flush_seeds();
 
   const net::NodeId victim = cluster.group_members(1).back();
   cluster.crash_node(victim);
@@ -676,6 +687,7 @@ TEST(Coordinator, MispredictedFootprintFallsBackToCrossShard2pc) {
   const ObjectKey home{1, 5}, surprise{1, 105};
   seed_sharded(cluster, map, home, Record{50});
   seed_sharded(cluster, map, surprise, Record{50});
+  cluster.flush_seeds();
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   // The prediction only saw the home key (the surprise key is the model of

@@ -1,10 +1,11 @@
 // Real-TCP transport tests: loopback request/reply over TcpServer +
 // TcpTransport (frame correlation, torn frames, corrupt frames poisoning
 // the connection, deadlines surfacing as kDropped, reconnect after a peer
-// restart, client-side chaos knobs), and the multi-process harness — a
-// spawned cluster_main fleet driven through harness::Cluster with
-// TransportMode::kTcp, including cross-shard transfers whose final state
-// must match an identically-seeded simulated cluster.
+// restart, client-side chaos knobs), cluster_main's flag parser, and the
+// multi-process harness — a spawned cluster_main fleet driven through
+// harness::Cluster with TransportMode::kTcp, including cross-shard
+// transfers whose final state must match an identically-seeded simulated
+// cluster and a rejoin that finishes what its group committed.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "src/shard/router.hpp"
 #include "src/shard/shard_map.hpp"
 #include "src/transport/frame.hpp"
+#include "src/transport/replica_host.hpp"
 #include "src/transport/tcp_server.hpp"
 #include "src/transport/tcp_transport.hpp"
 #include "src/transport/wire.hpp"
@@ -356,6 +359,106 @@ TEST(TcpRawSocket, CorruptFramePoisonsTheConnection) {
   ::close(fd2);
 }
 
+// ---- cluster_main's command line ----------------------------------------
+//
+// Out-of-range values are only ever parsed here, never handed to a real
+// cluster_main: cast to an unsigned count, --workers=-1 asks for SIZE_MAX
+// threads.
+
+/// The parse error for `args` (a valid --node is prepended), or "" when
+/// they parse.
+std::string parse_error(std::vector<std::string> args) {
+  args.insert(args.begin(), "--node=1");
+  std::string error;
+  return parse_replica_flags(args, error) ? "" : error;
+}
+
+TEST(ReplicaFlags, ArgsRoundTripThroughTheParser) {
+  ReplicaFlags flags;
+  flags.replica = {7, 3, 5'000'000, 1'000'000, true,
+                   {"data/node-7", -1, 4096, false}};
+  flags.host = "10.0.0.7";
+  flags.port = 7007;
+  flags.workers = 4;
+  flags.config_path = "topo.toml";
+  std::string error;
+  const auto parsed = parse_replica_flags(replica_args(flags), error);
+  ASSERT_TRUE(parsed) << error;
+  EXPECT_EQ(parsed->replica, flags.replica);
+  EXPECT_TRUE(parsed->group_set);
+  EXPECT_EQ(parsed->host, flags.host);
+  EXPECT_EQ(parsed->port, flags.port);
+  EXPECT_EQ(parsed->workers, flags.workers);
+  EXPECT_EQ(parsed->config_path, flags.config_path);
+}
+
+TEST(ReplicaFlags, DefaultsNeedOnlyANode) {
+  std::string error;
+  const auto parsed = parse_replica_flags({"--node=4"}, error);
+  ASSERT_TRUE(parsed) << error;
+  EXPECT_EQ(parsed->replica.node, 4);
+  EXPECT_FALSE(parsed->group_set);
+  EXPECT_FALSE(parsed->replica.durable);
+  EXPECT_EQ(parsed->replica.wal.dir, "acn-data/node-4");
+  EXPECT_EQ(parsed->workers, 2u);
+  EXPECT_FALSE(parse_replica_flags({}, error));
+  EXPECT_EQ(error, "--node is required");
+}
+
+TEST(ReplicaFlags, NodeOutOfRangeIsRejected) {
+  std::string error;
+  EXPECT_FALSE(parse_replica_flags({"--node=-1"}, error));
+  EXPECT_NE(error.find("--node"), std::string::npos) << error;
+  EXPECT_FALSE(parse_replica_flags({"--node=2147483648"}, error));
+}
+
+TEST(ReplicaFlags, GroupOutOfRangeIsRejected) {
+  EXPECT_NE(parse_error({"--group=-1"}).find("--group"), std::string::npos);
+  EXPECT_NE(parse_error({"--group=4294967296"}), "");
+  EXPECT_EQ(parse_error({"--group=4294967295"}), "");
+}
+
+TEST(ReplicaFlags, PortOutOfRangeIsRejected) {
+  EXPECT_NE(parse_error({"--port=-1"}).find("--port"), std::string::npos);
+  EXPECT_NE(parse_error({"--port=65536"}), "");
+  EXPECT_EQ(parse_error({"--port=65535"}), "");
+}
+
+TEST(ReplicaFlags, WorkersOutOfRangeIsRejected) {
+  EXPECT_NE(parse_error({"--workers=-1"}).find("--workers"),
+            std::string::npos);
+  EXPECT_NE(parse_error({"--workers=0"}), "");
+  const std::string max = std::to_string(kMaxReplicaWorkers);
+  EXPECT_EQ(parse_error({"--workers=" + max}), "");
+  EXPECT_NE(parse_error({"--workers=" + max + "0"}), "");
+}
+
+TEST(ReplicaFlags, NegativeSnapshotBytesIsRejected) {
+  EXPECT_NE(parse_error({"--snapshot-bytes=-1"}).find("--snapshot-bytes"),
+            std::string::npos);
+  EXPECT_EQ(parse_error({"--snapshot-bytes=0"}), "");
+}
+
+TEST(ReplicaFlags, NegativeWindowIsRejected) {
+  EXPECT_NE(parse_error({"--window-ns=-1"}).find("--window-ns"),
+            std::string::npos);
+}
+
+TEST(ReplicaFlags, LeaseAndFlushAcceptNegativesButNotGarbage) {
+  // <= 0 disables lease expiry; < 0 flushes the WAL only explicitly.
+  EXPECT_EQ(parse_error({"--lease-ns=-1", "--flush-ns=-1"}), "");
+  EXPECT_NE(parse_error({"--lease-ns=1ms"}).find("--lease-ns"),
+            std::string::npos);
+  EXPECT_NE(parse_error({"--flush-ns="}).find("--flush-ns"),
+            std::string::npos);
+}
+
+TEST(ReplicaFlags, BadDurabilityAndUnknownFlagsAreRejected) {
+  EXPECT_EQ(parse_error({"--durability=disk"}),
+            "--durability must be none|wal");
+  EXPECT_EQ(parse_error({"--nodes=2"}), "unknown flag: --nodes=2");
+}
+
 // ---- multi-process cluster (spawned cluster_main fleet) -----------------
 
 shard::ShardMap range_map(std::uint32_t n_shards) {
@@ -479,9 +582,9 @@ TEST(ClusterTcp, ControlPlaneProbesAndMirrorsReplicas) {
   // Control plane answers a ping and a dump for a process we never wrote
   // to through the data plane.
   ASSERT_NE(cluster.tcp_transport(), nullptr);
-  const ControlReply pong =
-      cluster.tcp_transport()->control(0, ControlRequest{});
-  EXPECT_TRUE(pong.ok);
+  const auto pong = cluster.tcp_transport()->control(0, ControlRequest{});
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(pong->ok);
   const auto snapshot = cluster.store_snapshot(0);
   EXPECT_EQ(snapshot.size(), 2u);
 
@@ -541,6 +644,45 @@ TEST(ClusterTcp, RemoteCrashRestartCatchesUpFromPeers) {
   }
   // And it serves traffic again.
   transfer(coordinator, ObjectKey{1, 6}, ObjectKey{1, 7});
+  EXPECT_TRUE(cluster.shutdown_fleet());
+}
+
+TEST(ClusterTcp, RejoinFinishesAPrepareItsGroupCommittedWhileItWasDown) {
+  // The TCP twin of the sim Recovery test: four replica processes and no
+  // prepare lease, so nothing expires on its own.
+  harness::Cluster cluster(
+      fleet_config(/*per_group=*/4, /*groups=*/1, "transport-test-logs"));
+  const ObjectKey key{1, 7};
+  cluster.seed_object(key, Record{0});
+  cluster.flush_seeds();
+
+  // Every replica prepares; node 3 crashes before phase two reaches it.
+  const auto client = static_cast<net::NodeId>(cluster.size());
+  const dtm::TxId tx = 77;
+  dtm::Request request;
+  request.payload = dtm::PrepareRequest{tx, {}, {key}};
+  for (net::NodeId i = 0; i < 4; ++i)
+    ASSERT_TRUE(cluster.transport().call(client, i, request).ok());
+  cluster.crash_node(3);
+  request.payload = dtm::CommitRequest{tx, {key}, {Record{5}}, {2}};
+  for (net::NodeId i = 0; i < 3; ++i)
+    ASSERT_TRUE(cluster.transport().call(client, i, request).ok());
+  EXPECT_EQ(cluster.probe_replica(3).open_prepares, 1u);
+
+  cluster.restart_node(3);
+  const ReplicaProbe probe = cluster.probe_replica(3);
+  EXPECT_EQ(probe.open_leases, 0u);
+  EXPECT_EQ(probe.protected_keys, 0u);
+  EXPECT_EQ(probe.open_prepares, 0u);
+  const auto snapshot = cluster.store_snapshot(3);
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0].second.value, Record{5});
+  EXPECT_EQ(snapshot[0].second.version, 2u);
+  // The coordinator's late replay is acknowledged as a duplicate.
+  const auto replay = cluster.transport().call(client, 3, request);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(std::get<dtm::CommitResponse>(replay.response.payload).code,
+            dtm::CommitCode::kDuplicate);
   EXPECT_TRUE(cluster.shutdown_fleet());
 }
 
