@@ -108,17 +108,6 @@ void Executor::note_full_abort(const dtm::TxAbort& abort, std::uint64_t tx) {
 
 void Executor::run(Protocol protocol, const RunOptions& options,
                    const std::vector<ir::Record>& params, ExecStats& stats) {
-  // Scoped config override; restored even when the run throws.
-  struct Restore {
-    ExecutorConfig* slot;
-    ExecutorConfig saved;
-    bool armed;
-    ~Restore() {
-      if (armed) *slot = std::move(saved);
-    }
-  } restore{&config_, config_, options.config_override != nullptr};
-  if (options.config_override) config_ = *options.config_override;
-
   // The protocol's inputs, resolved once per run: under kAcn the Blocks
   // come from the controller's plan as published now and serve every
   // attempt, full restarts included.

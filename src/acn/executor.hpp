@@ -146,9 +146,6 @@ struct RunOptions {
   /// With batch_reads: speculatively fetch the next Block's independent
   /// reads in the same round; speculation is discarded on partial abort.
   bool prefetch = false;
-  /// When set, replaces the executor's construction-time config (retry
-  /// caps, backoff, obs pointer, monitor, history) for this run only.
-  const ExecutorConfig* config_override = nullptr;
   /// When set, the run is gated through the contention-aware scheduler:
   /// admit(predicted_footprint) before the first attempt, on_full_abort on
   /// every full abort, finish when the run ends either way.  The gate is

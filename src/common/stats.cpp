@@ -2,42 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstdio>
 
 namespace acn {
-
-void OnlineStats::add(double x) noexcept {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double OnlineStats::variance() const noexcept {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void LatencyHistogram::add(std::uint64_t value_ns) noexcept {
   const int bucket = value_ns == 0 ? 0 : 64 - std::countl_zero(value_ns);
@@ -81,26 +47,6 @@ std::uint64_t IntervalSeries::at(std::size_t interval) const noexcept {
 std::vector<std::uint64_t> IntervalSeries::snapshot() const {
   std::vector<std::uint64_t> out(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) out[i] = at(i);
-  return out;
-}
-
-double percentile_of(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-std::string format_series(const std::vector<double>& values, int width) {
-  std::string out;
-  char buf[64];
-  for (double v : values) {
-    std::snprintf(buf, sizeof(buf), "%*.1f", width, v);
-    out += buf;
-  }
   return out;
 }
 

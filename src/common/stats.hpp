@@ -1,38 +1,13 @@
 // Lightweight statistics utilities used by the DTM runtime and the
-// benchmark harness: streaming moments, log-bucketed latency histograms,
-// and per-interval throughput series (the unit the paper's Figure 4 plots).
+// benchmark harness: log-bucketed latency histograms and per-interval
+// throughput series (the unit the paper's Figure 4 plots).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace acn {
-
-/// Streaming count/mean/variance/min/max (Welford).  Not thread-safe;
-/// aggregate per-thread instances with merge().
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-  void merge(const OnlineStats& other) noexcept;
-
-  std::uint64_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  // population variance
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Histogram with power-of-two buckets over [1, 2^63).  Suitable for
 /// nanosecond latencies.  add() is wait-free; percentile() is approximate
@@ -67,11 +42,5 @@ class IntervalSeries {
  private:
   std::vector<std::atomic<std::uint64_t>> slots_;
 };
-
-/// Exact percentile over a sample vector (sorts a copy).
-double percentile_of(std::vector<double> samples, double q);
-
-/// Render a vector of per-interval throughputs as "v0 v1 v2 ..." for logs.
-std::string format_series(const std::vector<double>& values, int width = 9);
 
 }  // namespace acn

@@ -35,17 +35,6 @@ QuorumStub::QuorumStub(DtmTransport& transport,
       rng_(seed),
       config_(config) {}
 
-QuorumStub::QuorumStub(DtmNetwork& network, const quorum::QuorumSystem& quorums,
-                       net::NodeId client_node, std::uint64_t seed,
-                       StubConfig config)
-    : owned_transport_(
-          std::make_shared<net::SimTransport<Request, Response>>(network)),
-      transport_(owned_transport_.get()),
-      quorums_(quorums),
-      client_node_(client_node),
-      rng_(seed),
-      config_(config) {}
-
 void QuorumStub::backoff(int attempt) {
   const auto delay = config_.retry.delay(attempt, rng_);
   if (obs::Observability* o = config_.obs)

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "src/common/retry_policy.hpp"
@@ -45,7 +44,7 @@ namespace acn::dtm {
 
 using DtmNetwork = net::Network<Request, Response>;
 /// The request/reply surface the stub (and everything above it) runs on —
-/// SimTransport over a DtmNetwork, or transport::TcpTransport over sockets.
+/// a simulated DtmNetwork, or transport::TcpTransport over sockets.
 using DtmTransport = net::Transport<Request, Response>;
 
 struct StubConfig {
@@ -112,15 +111,8 @@ struct PrepareExtras {
 
 class QuorumStub {
  public:
-  /// The transport-generic constructor: `transport` must outlive the stub.
+  /// `transport` must outlive the stub.
   QuorumStub(DtmTransport& transport, const quorum::QuorumSystem& quorums,
-             net::NodeId client_node, std::uint64_t seed,
-             StubConfig config = {});
-
-  /// Legacy convenience: wraps `network` in an owned SimTransport.  Keeps
-  /// every existing test and bench that builds a stub straight over a
-  /// simulated network working unchanged.
-  QuorumStub(DtmNetwork& network, const quorum::QuorumSystem& quorums,
              net::NodeId client_node, std::uint64_t seed,
              StubConfig config = {});
 
@@ -203,9 +195,6 @@ class QuorumStub {
   void send_abort(TxId tx, const std::vector<net::NodeId>& quorum,
                   const std::vector<ObjectKey>& keys);
 
-  /// Set by the legacy DtmNetwork constructor only; shared so stub copies
-  /// and moves keep the adapter (and transport_'s target) alive.
-  std::shared_ptr<DtmTransport> owned_transport_;
   DtmTransport* transport_;
   const quorum::QuorumSystem& quorums_;
   net::NodeId client_node_;

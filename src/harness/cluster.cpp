@@ -73,9 +73,6 @@ Cluster::Cluster(ClusterConfig config)
     return;
   }
 
-  transport_ =
-      std::make_unique<net::SimTransport<dtm::Request, dtm::Response>>(
-          network_);
   hosts_.reserve(total_nodes_);
   for (std::size_t i = 0; i < total_nodes_; ++i) {
     // A durable host built over an existing data directory is a restart:
@@ -140,10 +137,9 @@ void Cluster::spawn_fleet() {
 
   transport::TcpTransportConfig transport_config;
   transport_config.call_timeout = config_.tcp.call_timeout;
-  auto tcp = std::make_unique<transport::TcpTransport>(
+  tcp_ = std::make_unique<transport::TcpTransport>(
       std::move(peers), transport_config, /*seed=*/0xacd7c9);
-  tcp_ = tcp.get();
-  transport_ = std::move(tcp);
+  transport_ = tcp_.get();
 }
 
 bool Cluster::shutdown_fleet() {

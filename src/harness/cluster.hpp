@@ -167,12 +167,11 @@ class Cluster {
   /// The simulated network (sim mode only — throws std::logic_error on a
   /// TCP cluster; route faults through transport() instead).
   dtm::DtmNetwork& network();
-  /// The request/reply + fault surface, valid in both modes.  Sim mode
-  /// returns a SimTransport over network(); TCP mode the fleet's
-  /// TcpTransport.
+  /// The request/reply + fault surface, valid in both modes: network() in
+  /// sim mode, the fleet's TcpTransport in TCP mode.
   dtm::DtmTransport& transport() noexcept { return *transport_; }
   /// The TCP transport's control plane, or nullptr in sim mode.
-  transport::TcpTransport* tcp_transport() noexcept { return tcp_; }
+  transport::TcpTransport* tcp_transport() noexcept { return tcp_.get(); }
   const quorum::QuorumSystem& quorums() const noexcept { return *quorums_[0]; }
   /// Group `g`'s quorum system; every id it returns is a global node id
   /// inside that group's slice.
@@ -313,9 +312,9 @@ class Cluster {
   /// Sim mode: one replica (server + optional WAL) per node.
   std::vector<std::unique_ptr<transport::ReplicaHost>> hosts_;
   dtm::DtmNetwork network_;
+  std::unique_ptr<transport::TcpTransport> tcp_;  // TCP mode only
   /// The mode-selected transport every stub and fault plan routes through.
-  std::unique_ptr<dtm::DtmTransport> transport_;
-  transport::TcpTransport* tcp_ = nullptr;  // transport_'s TCP face, if any
+  dtm::DtmTransport* transport_ = &network_;
   std::unique_ptr<transport::ProcessFleet> fleet_;
   /// One quorum system per group, indexed by group id.
   std::vector<std::unique_ptr<quorum::QuorumSystem>> quorums_;

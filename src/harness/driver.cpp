@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
@@ -13,6 +14,7 @@ namespace {
 
 /// The default Submitter: one group-0 stub + Executor, exactly the
 /// pre-sharding client. Owns the stub so the pair's lifetimes stay tied.
+/// It addresses group 0 only, so run() refuses it on a sharded cluster.
 class ExecutorSubmitter final : public Submitter {
  public:
   ExecutorSubmitter(dtm::QuorumStub stub, const acn::ExecutorConfig& config,
@@ -45,6 +47,12 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
   const auto& profiles = workload.profiles();
   if (profiles.empty())
     throw std::invalid_argument("run: workload has no profiles");
+  if (!config.make_submitter && cluster.n_groups() > 1)
+    throw std::invalid_argument(
+        "run: the default submitter addresses group 0 only, but the cluster "
+        "has " + std::to_string(cluster.n_groups()) +
+        " groups; set DriverConfig::make_submitter to "
+        "shard::ClientFleet::factory()");
 
   obs::Observability* const obs = config.obs;
   obs::Snapshot metrics_before;

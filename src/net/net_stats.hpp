@@ -8,8 +8,10 @@
 namespace acn::net {
 
 /// Aggregate wire statistics.  All counters are relaxed atomics; values are
-/// read for reporting only.
-class NetStats {
+/// read for reporting only.  Every sender writes them on every message, so
+/// they get cache lines of their own: sharing one with the fields a sender
+/// reads (the handler table, the fault flag) stalls every client thread.
+class alignas(64) NetStats {
  public:
   void on_message(std::size_t bytes) noexcept {
     messages_.fetch_add(1, std::memory_order_relaxed);

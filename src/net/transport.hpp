@@ -1,15 +1,14 @@
 // Transport: the abstract request/reply surface between stubs and replicas.
 //
 // Every client-side component (QuorumStub, the cross-shard coordinator, the
-// in-doubt resolver, chaos) used to talk straight to the simulated
-// net::Network.  The Transport interface extracts exactly the surface they
-// consume — call / multicall, local handler registration, and the fault
-// knobs — so the same stack runs over two implementations:
+// in-doubt resolver, chaos) talks to the replicas through this interface:
+// call / multicall, handler registration, and the fault knobs.  Two
+// implementations serve it:
 //
-//   * SimTransport (below, header-only): a thin adapter over the existing
-//     deterministic Network.  Default for tests and chaos matrices — the
-//     sleep-injecting simulation is what makes fault injection
-//     reproducible.
+//   * net::Network (src/net/network.hpp): the deterministic simulated
+//     network, handlers inline on the calling thread.  Default for tests
+//     and chaos matrices — the sleep-injecting simulation is what makes
+//     fault injection reproducible.
 //   * transport::TcpTransport (src/transport): real asynchronous TCP —
 //     non-blocking sockets on an epoll loop, CRC-framed codec messages,
 //     per-connection write queues, request-id correlation, reconnect with
@@ -17,20 +16,19 @@
 //
 // Semantics both implementations honor:
 //   * multicall sends the SAME request to every target and returns results
-//     aligned with `targets`.  (The simulated network accepts a per-target
-//     request factory; every caller in the tree builds an identical request
-//     per target, so the narrower surface loses nothing and lets TCP encode
-//     the frame once.)
-//   * A handler registered through register_local must not issue nested
-//     calls through the transport (see network.hpp — enforced there, and
-//     the TCP loop would deadlock; identical contract on both).
-//   * Fault knobs are best effort on TCP: node_down / partitions fail fast
-//     client-side and kill live connections; drop probability is rolled per
-//     leg client-side (a request-leg drop is simply never written, a
-//     response-leg drop is discarded after arrival — same lost-ack hazard
-//     as the simulation).  Listener-level suspension (the server refusing
-//     the world, not one client refusing the server) is a control-plane
-//     operation owned by harness::Cluster::crash_node.
+//     aligned with `targets`; the caller waits once, for the slowest reply.
+//   * A handler registered through register_node must not issue nested
+//     calls through the transport (see the re-entrancy guard below — on
+//     TCP the loop would deadlock; identical contract on both).
+//   * Faults: the Transport carries one net::FaultModel (faults.hpp), and
+//     both implementations ask it for the fate of every request before
+//     sending it.  A refused, partitioned or request-leg-dropped call fails
+//     fast; a response-leg drop surfaces as kDropped after the handler ran.
+//     TcpTransport adds only socket reactions: a node-down or a partition
+//     also kills the live connections it now blocks.  Listener-level
+//     suspension (the server refusing the world, not one client refusing
+//     the server) is a control-plane operation owned by
+//     harness::Cluster::crash_node.
 //
 // Counters: both implementations feed the same TransportCounters, emitted
 // as transport.* metrics by the harness.  On TCP they count real socket
@@ -42,14 +40,51 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "src/net/network.hpp"
+#include "src/net/faults.hpp"
 
 namespace acn::net {
 
-/// Wire-level counters shared by every Transport implementation.
-struct TransportCounters {
+/// Result of a single RPC: either a response or a transport error.
+template <class Res>
+struct CallResult {
+  NetErrorCode error = NetErrorCode::kOk;
+  Res response{};
+
+  bool ok() const noexcept { return error == NetErrorCode::kOk; }
+};
+
+/// Depth of request-handler execution on the current thread, shared by all
+/// transports that invoke handlers inline.  Nonzero means "we are inside a
+/// handler": issuing an RPC from here is the re-entrancy hazard a real
+/// transport cannot honor, so entry points reject it.
+inline thread_local int handler_depth = 0;
+
+/// RAII depth bump wrapped around every handler invocation.
+struct HandlerScope {
+  HandlerScope() noexcept { ++handler_depth; }
+  ~HandlerScope() { --handler_depth; }
+  HandlerScope(const HandlerScope&) = delete;
+  HandlerScope& operator=(const HandlerScope&) = delete;
+};
+
+/// Throws std::logic_error when invoked from inside a request handler.
+inline void require_not_in_handler(const char* op) {
+  if (handler_depth > 0)
+    throw std::logic_error(
+        std::string("net: nested RPC: ") + op +
+        " invoked from inside a request handler.  Handlers must not call "
+        "back into the transport — on a real transport this deadlocks the "
+        "server's event loop (see transport.hpp).");
+}
+
+/// Wire-level counters shared by every Transport implementation.  On a
+/// cache line of their own, like NetStats: every sender writes them.
+struct alignas(64) TransportCounters {
   std::atomic<std::uint64_t> bytes_sent{0};
   std::atomic<std::uint64_t> bytes_recv{0};
   /// Successful connection establishments beyond the first per peer (TCP);
@@ -75,106 +110,42 @@ class Transport {
   virtual std::vector<CallResult<Res>> multicall(
       NodeId from, const std::vector<NodeId>& targets, const Req& req) = 0;
 
-  /// Register a handler served locally by this endpoint (e.g. a cross-shard
-  /// coordinator answering DecisionQuery on its client node id).  On TCP a
-  /// call addressed to a local id loops back in-process; remote processes
-  /// reach it through the caller's listening socket only when one exists —
-  /// in this tree, decision queries are always issued by the harness
-  /// process that owns the coordinator, so loopback suffices.
-  virtual void register_local(NodeId id, Handler handler) = 0;
+  /// Register node `id`'s request handler and mark the node up.  On the
+  /// simulation every node is registered this way; on TCP it registers a
+  /// handler served locally by this endpoint (e.g. a cross-shard
+  /// coordinator answering DecisionQuery on its client node id): a call
+  /// addressed to it loops back in-process.
+  virtual void register_node(NodeId id, Handler handler) = 0;
 
   // -- Fault surface (chaos plans route through these) --------------------
-  virtual void set_node_down(NodeId id, bool down) = 0;
-  virtual bool node_down(NodeId id) const = 0;
-  virtual void set_drop_probability(double p) = 0;
-  virtual double drop_probability() const = 0;
-  virtual void set_extra_latency(Nanos extra) = 0;
-  virtual Nanos extra_latency() const = 0;
-  virtual void set_partition(const std::vector<std::vector<NodeId>>& groups) = 0;
-  virtual void clear_partition() = 0;
-  virtual bool partitioned() const = 0;
-  virtual void set_link_fault(NodeId from, NodeId to, LinkFault fault) = 0;
-  virtual void clear_link_fault(NodeId from, NodeId to) = 0;
-  virtual void clear_link_faults() = 0;
-
-  virtual const TransportCounters& counters() const = 0;
-};
-
-/// Adapter: the deterministic simulated network behind the Transport
-/// interface.  Owns nothing — the Network (and the registered servers)
-/// outlive it, exactly as they outlive the stubs today.
-template <class Req, class Res>
-class SimTransport final : public Transport<Req, Res> {
- public:
-  using Handler = typename Transport<Req, Res>::Handler;
-
-  explicit SimTransport(Network<Req, Res>& network) : network_(network) {}
-
-  CallResult<Res> call(NodeId from, NodeId to, const Req& req) override {
-    CallResult<Res> out = network_.call(from, to, req);
-    account(req, out);
-    return out;
+  // set_node_down, node_down and set_partition are virtual so that an
+  // implementation can check node ids (Network) or react at the socket
+  // layer (TcpTransport); the state itself lives in faults_.
+  virtual void set_node_down(NodeId id, bool down) {
+    faults_.set_node_down(id, down);
   }
+  virtual bool node_down(NodeId id) const { return faults_.node_down(id); }
+  void set_drop_probability(double p) { faults_.set_drop_probability(p); }
+  double drop_probability() const { return faults_.drop_probability(); }
+  void set_extra_latency(Nanos extra) { faults_.set_extra_latency(extra); }
+  Nanos extra_latency() const { return faults_.extra_latency(); }
+  virtual void set_partition(const std::vector<std::vector<NodeId>>& groups) {
+    faults_.set_partition(groups);
+  }
+  void clear_partition() { faults_.clear_partition(); }
+  bool partitioned() const { return faults_.partitioned(); }
+  void set_link_fault(NodeId from, NodeId to, LinkFault fault) {
+    faults_.set_link_fault(from, to, fault);
+  }
+  void clear_link_fault(NodeId from, NodeId to) {
+    faults_.clear_link_fault(from, to);
+  }
+  void clear_link_faults() { faults_.clear_link_faults(); }
 
-  std::vector<CallResult<Res>> multicall(NodeId from,
-                                         const std::vector<NodeId>& targets,
-                                         const Req& req) override {
-    auto out = network_.multicall(from, targets,
-                                  [&](NodeId) -> const Req& { return req; });
-    for (const auto& r : out) account(req, r);
-    return out;
-  }
+  const TransportCounters& counters() const noexcept { return counters_; }
 
-  void register_local(NodeId id, Handler handler) override {
-    network_.register_node(id, std::move(handler));
-  }
-
-  void set_node_down(NodeId id, bool down) override {
-    network_.set_node_down(id, down);
-  }
-  bool node_down(NodeId id) const override { return network_.node_down(id); }
-  void set_drop_probability(double p) override {
-    network_.set_drop_probability(p);
-  }
-  double drop_probability() const override {
-    return network_.drop_probability();
-  }
-  void set_extra_latency(Nanos extra) override {
-    network_.set_extra_latency(extra);
-  }
-  Nanos extra_latency() const override { return network_.extra_latency(); }
-  void set_partition(const std::vector<std::vector<NodeId>>& groups) override {
-    network_.set_partition(groups);
-  }
-  void clear_partition() override { network_.clear_partition(); }
-  bool partitioned() const override { return network_.partitioned(); }
-  void set_link_fault(NodeId from, NodeId to, LinkFault fault) override {
-    network_.set_link_fault(from, to, fault);
-  }
-  void clear_link_fault(NodeId from, NodeId to) override {
-    network_.clear_link_fault(from, to);
-  }
-  void clear_link_faults() override { network_.clear_link_faults(); }
-
-  const TransportCounters& counters() const override { return counters_; }
-
-  Network<Req, Res>& network() noexcept { return network_; }
-
- private:
-  // Approximate the wire bytes a real transport would move: the request
-  // leg unless the node refused it outright, the response leg on success.
-  void account(const Req& req, const CallResult<Res>& result) {
-    if (result.error == NetErrorCode::kNodeDown ||
-        result.error == NetErrorCode::kPartitioned)
-      return;
-    counters_.bytes_sent.fetch_add(req.approx_size(),
-                                   std::memory_order_relaxed);
-    if (result.ok())
-      counters_.bytes_recv.fetch_add(result.response.approx_size(),
-                                     std::memory_order_relaxed);
-  }
-
-  Network<Req, Res>& network_;
+ protected:
+  FaultModel faults_;
   TransportCounters counters_;
 };
 

@@ -81,7 +81,7 @@ class Observability {
   MetricsRegistry::Counter indoubt_resolved_commit;  // parked tx committed
   MetricsRegistry::Counter indoubt_resolved_abort;   // parked tx aborted
 
-  // -- transport wire level (src/net SimTransport, src/transport TCP) ------
+  // -- transport wire level (src/net Network, src/transport TCP) -----------
   /// Emitted identically by both transports: real socket bytes on TCP,
   /// approx_size() estimates on sim (the driver folds the per-run delta of
   /// net::TransportCounters in at run end).

@@ -36,7 +36,7 @@ CrossShardCoordinator::CrossShardCoordinator(harness::Cluster& cluster,
   client_node_ =
       static_cast<net::NodeId>(cluster.size()) + client_ordinal;
   const std::shared_ptr<DecisionLog> log = decisions_;
-  cluster.transport().register_local(
+  cluster.transport().register_node(
       client_node_, [log](net::NodeId, const dtm::Request& request) {
         dtm::Response response;
         if (const auto* query =

@@ -14,19 +14,7 @@ std::uint32_t load_u32(const std::uint8_t* p) noexcept {
   return v;  // little-endian hosts only, same assumption as the codec
 }
 
-void store_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
-
 }  // namespace
-
-void append_frame(std::vector<std::uint8_t>& out,
-                  std::span<const std::uint8_t> payload) {
-  store_u32(out, static_cast<std::uint32_t>(payload.size()));
-  store_u32(out, wal::crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
 
 bool FrameReader::feed(std::span<const std::uint8_t> bytes) {
   if (poisoned_) return false;

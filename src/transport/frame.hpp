@@ -1,11 +1,13 @@
 // TCP stream framing for the real transport.
 //
-// Wire format, identical to the WAL's record framing (src/wal/format.hpp):
+// Wire format, the WAL's record framing (src/wal/format.hpp):
 //
 //   [u32 payload length][u32 crc32(payload)][payload]     little-endian
 //
-// so one frame idiom covers disk and wire.  The payload's first bytes are
-// a small envelope decoded by src/transport/wire.hpp:
+// so one frame idiom covers disk and wire: senders frame a payload with
+// wal::frame_record, and FrameReader below decodes the stream.  The
+// payload's first bytes are a small envelope decoded by
+// src/transport/wire.hpp:
 //
 //   [u8 kind][u64 id][kind-specific body]
 //
@@ -29,10 +31,6 @@ namespace acn::transport {
 /// largest messages are store dumps in control replies) while keeping a
 /// corrupted length prefix from looking like a multi-gigabyte allocation.
 constexpr std::size_t kMaxFramePayload = 64u << 20;  // 64 MiB
-
-/// Append one framed payload to `out`.
-void append_frame(std::vector<std::uint8_t>& out,
-                  std::span<const std::uint8_t> payload);
 
 /// Incremental frame decoder for one connection's byte stream.
 class FrameReader {

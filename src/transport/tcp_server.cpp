@@ -22,6 +22,7 @@
 #include <unordered_map>
 
 #include "src/transport/frame.hpp"
+#include "src/wal/format.hpp"
 
 namespace acn::transport {
 namespace {
@@ -380,7 +381,7 @@ struct TcpServer::Impl {
         action = outcome.action;
         const auto payload =
             make_payload(FrameKind::kControlReply, job.id, outcome.reply_body);
-        append_frame(out.bytes, payload);
+        wal::frame_record(out.bytes, payload);
       } else {
         const auto response = on_data(job.from, job.body);
         if (!response) {
@@ -388,7 +389,7 @@ struct TcpServer::Impl {
         } else {
           const auto payload =
               make_payload(FrameKind::kResponse, job.id, *response);
-          append_frame(out.bytes, payload);
+          wal::frame_record(out.bytes, payload);
         }
       }
       push_outgoing(std::move(out));

@@ -19,8 +19,8 @@
 #include <unordered_set>
 
 #include "src/common/clock.hpp"
-#include "src/common/rng.hpp"
 #include "src/transport/frame.hpp"
+#include "src/wal/format.hpp"
 
 namespace acn::transport {
 namespace {
@@ -37,11 +37,6 @@ bool fill_addr(const Endpoint& ep, sockaddr_in& addr) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(ep.port));
   return inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) == 1;
-}
-
-std::uint64_t link_key(net::NodeId from, net::NodeId to) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-         static_cast<std::uint32_t>(to);
 }
 
 }  // namespace
@@ -92,8 +87,8 @@ struct TcpTransport::Impl {
   std::atomic<bool> stopping{false};
   std::atomic<bool> closed{false};
 
-  // state_mutex guards peers' data-plane members, pending, faults and
-  // local handlers.  The IO thread takes it around every epoll event; the
+  // state_mutex guards peers' data-plane members, pending and local
+  // handlers.  The IO thread takes it around every epoll event; the
   // hot caller path takes it once to queue frames.  Never held across
   // epoll_wait or a sleep.
   mutable std::mutex state_mutex;
@@ -103,53 +98,10 @@ struct TcpTransport::Impl {
   std::atomic<std::uint64_t> next_request_id{1};
 
   std::unordered_map<net::NodeId, Handler> locals;
-  std::unordered_set<net::NodeId> down;
-  std::atomic<double> drop_probability{0.0};
-  std::atomic<std::int64_t> extra_latency_ns{0};
-  std::unordered_map<std::uint64_t, net::LinkFault> links;
-  std::unordered_map<net::NodeId, int> partition_groups;
-  bool partitioned = false;
 
   void wake() {
     std::uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof one);
-  }
-
-  // Per-thread fault RNG, mirroring net::Network::drop_rng.
-  static Rng& fault_rng() noexcept {
-    static std::atomic<std::uint64_t> next_stream{0};
-    thread_local Rng rng = [] {
-      std::uint64_t stream =
-          0x7cbdecafULL + next_stream.fetch_add(1, std::memory_order_relaxed);
-      return Rng(splitmix64(stream));
-    }();
-    return rng;
-  }
-
-  // ---- fault evaluation (state_mutex held unless noted) -----------------
-
-  int group_of(net::NodeId id) const {
-    const auto it = partition_groups.find(id);
-    return it == partition_groups.end() ? 0 : it->second;
-  }
-
-  bool partition_blocked(net::NodeId from, net::NodeId to) const {
-    return partitioned && group_of(from) != group_of(to);
-  }
-
-  double leg_drop(net::NodeId from, net::NodeId to) const {
-    double p = drop_probability.load(std::memory_order_relaxed);
-    const auto it = links.find(link_key(from, to));
-    if (it != links.end() && it->second.drop > 0.0)
-      p = 1.0 - (1.0 - p) * (1.0 - it->second.drop);
-    return p;
-  }
-
-  Nanos leg_extra(net::NodeId from, net::NodeId to) const {
-    Nanos extra{extra_latency_ns.load(std::memory_order_relaxed)};
-    const auto it = links.find(link_key(from, to));
-    if (it != links.end()) extra += it->second.extra_latency;
-    return extra;
   }
 
   // ---- IO thread --------------------------------------------------------
@@ -220,7 +172,7 @@ struct TcpTransport::Impl {
     // The hello frame must precede everything queued while disconnected.
     if (!p.hello_queued) {
       std::vector<std::uint8_t> hello;
-      append_frame(hello, encode_hello(Channel::kData, -1));
+      wal::frame_record(hello, encode_hello(Channel::kData, -1));
       p.wbuf.insert(p.wbuf.begin(), hello.begin(), hello.end());
       p.hello_queued = true;
     }
@@ -403,7 +355,7 @@ struct TcpTransport::Impl {
       std::lock_guard lock(state_mutex);
       pending[id] = slot;
       p.inflight.insert(id);
-      append_frame(p.wbuf, payload);
+      wal::frame_record(p.wbuf, payload);
       if (p.fd >= 0 && !p.connecting) flush_writes(p);
     }
     wake();
@@ -475,7 +427,7 @@ struct TcpTransport::Impl {
     }
     // Hello: this connection is the management plane.
     std::vector<std::uint8_t> hello;
-    append_frame(hello, encode_hello(Channel::kControl, -1));
+    wal::frame_record(hello, encode_hello(Channel::kControl, -1));
     if (!control_write(fd, hello, deadline)) {
       ::close(fd);
       return false;
@@ -519,8 +471,8 @@ struct TcpTransport::Impl {
       if (!control_connect(p, deadline)) return std::nullopt;
       const std::uint64_t id = ++p.control_seq;
       std::vector<std::uint8_t> frame;
-      append_frame(frame,
-                   make_payload(FrameKind::kControl, id, encode_control(req)));
+      wal::frame_record(
+          frame, make_payload(FrameKind::kControl, id, encode_control(req)));
       if (!control_write(p.control_fd, frame, deadline)) {
         // A dead cached connection (peer restarted): re-dial once.
         close_control(p);
@@ -573,7 +525,7 @@ struct TcpTransport::Impl {
 TcpTransport::TcpTransport(std::map<net::NodeId, Endpoint> peers,
                            TcpTransportConfig config, std::uint64_t seed)
     : peers_(std::move(peers)), impl_(std::make_unique<Impl>()) {
-  (void)seed;  // per-thread fault RNGs self-seed, matching net::Network
+  (void)seed;  // fault rolls draw from net::FaultModel's per-thread RNG
   impl_->config = config;
   impl_->counters = &counters_;
   impl_->epoll_fd = epoll_create1(0);
@@ -609,10 +561,12 @@ void TcpTransport::close() {
   ::close(impl_->event_fd);
 }
 
-void TcpTransport::register_local(net::NodeId id, Handler handler) {
-  std::lock_guard lock(impl_->state_mutex);
-  impl_->locals[id] = std::move(handler);
-  impl_->down.erase(id);
+void TcpTransport::register_node(net::NodeId id, Handler handler) {
+  {
+    std::lock_guard lock(impl_->state_mutex);
+    impl_->locals[id] = std::move(handler);
+  }
+  faults_.set_node_down(id, false);
 }
 
 net::CallResult<dtm::Response> TcpTransport::call(net::NodeId from,
@@ -638,28 +592,18 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
   std::vector<std::uint8_t> payload;  // encoded once, shared by all targets
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const net::NodeId to = targets[i];
+    // A refused, partitioned or request-leg-dropped call never hits the
+    // wire.
+    const net::Fate fate = faults_.fate(from, to);
+    if (fate.error != net::NetErrorCode::kOk) {
+      out[i].error = fate.error;
+      continue;
+    }
+    extra_total = std::max(extra_total, fate.extra_out + fate.extra_back);
     Impl::Peer* peer = nullptr;
     Handler local;
-    bool response_drop = false;
     {
       std::lock_guard lock(impl_->state_mutex);
-      if (impl_->down.count(to)) {
-        out[i].error = net::NetErrorCode::kNodeDown;
-        continue;
-      }
-      if (impl_->partition_blocked(from, to)) {
-        out[i].error = net::NetErrorCode::kPartitioned;
-        continue;
-      }
-      const double fwd_drop = impl_->leg_drop(from, to);
-      if (fwd_drop > 0.0 && Impl::fault_rng().bernoulli(fwd_drop)) {
-        out[i].error = net::NetErrorCode::kDropped;  // never hits the wire
-        continue;
-      }
-      const double back_drop = impl_->leg_drop(to, from);
-      response_drop = back_drop > 0.0 && Impl::fault_rng().bernoulli(back_drop);
-      extra_total = std::max(
-          extra_total, impl_->leg_extra(from, to) + impl_->leg_extra(to, from));
       const auto lit = impl_->locals.find(to);
       if (lit != impl_->locals.end()) {
         local = lit->second;
@@ -681,7 +625,7 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
       out[i].response = local(from, req);
       counters_.bytes_recv.fetch_add(out[i].response.approx_size(),
                                      std::memory_order_relaxed);
-      if (response_drop) {
+      if (fate.reply_dropped) {
         out[i].error = net::NetErrorCode::kDropped;
         out[i].response = {};
       }
@@ -696,7 +640,7 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
     ids[i] = id;
     // The response-leg drop was rolled up front; a discarded arrival
     // surfaces as kDropped below — identical lost-ack semantics to the sim.
-    slots[i] = impl_->submit(*peer, id, payload, response_drop);
+    slots[i] = impl_->submit(*peer, id, payload, fate.reply_dropped);
   }
 
   precise_sleep_for(extra_total);
@@ -714,82 +658,32 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
 }
 
 void TcpTransport::set_node_down(net::NodeId id, bool down) {
+  dtm::DtmTransport::set_node_down(id, down);
   std::lock_guard lock(impl_->state_mutex);
+  const auto it = impl_->peers.find(id);
+  if (it == impl_->peers.end()) return;
   if (down) {
-    impl_->down.insert(id);
-    const auto it = impl_->peers.find(id);
-    if (it != impl_->peers.end())
-      impl_->close_peer(*it->second, net::NetErrorCode::kDropped);
+    impl_->close_peer(*it->second, net::NetErrorCode::kDropped);
   } else {
-    impl_->down.erase(id);
-    const auto it = impl_->peers.find(id);
-    if (it != impl_->peers.end()) {
-      it->second->dial_failures = 0;
-      it->second->next_dial = {};
-    }
+    it->second->dial_failures = 0;
+    it->second->next_dial = {};
   }
-}
-
-bool TcpTransport::node_down(net::NodeId id) const {
-  std::lock_guard lock(impl_->state_mutex);
-  return impl_->down.count(id) > 0;
-}
-
-void TcpTransport::set_drop_probability(double p) {
-  impl_->drop_probability.store(p);
-}
-double TcpTransport::drop_probability() const {
-  return impl_->drop_probability.load();
-}
-void TcpTransport::set_extra_latency(Nanos extra) {
-  impl_->extra_latency_ns.store(extra.count(), std::memory_order_relaxed);
-}
-Nanos TcpTransport::extra_latency() const {
-  return Nanos{impl_->extra_latency_ns.load(std::memory_order_relaxed)};
 }
 
 void TcpTransport::set_partition(
     const std::vector<std::vector<net::NodeId>>& groups) {
+  dtm::DtmTransport::set_partition(groups);
+  // Kill the live connections that now cross the partition (this
+  // endpoint's local ids sit in the callers' groups — unlisted ones in
+  // group 0, like the simulation).
   std::lock_guard lock(impl_->state_mutex);
-  impl_->partition_groups.clear();
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    for (const net::NodeId id : groups[g])
-      impl_->partition_groups[id] = static_cast<int>(g);
-  impl_->partitioned = true;
-  // Socket-layer enforcement: kill live connections that now cross the
-  // partition (this endpoint's local ids sit in the callers' groups —
-  // unlisted ones in group 0, like the simulation).
   for (auto& [id, peer] : impl_->peers) {
-    bool blocked = impl_->group_of(id) != 0;
+    const int group = faults_.group_of(id);
+    bool blocked = group != 0;
     for (const auto& [lid, h] : impl_->locals)
-      if (impl_->group_of(lid) == impl_->group_of(id)) blocked = false;
+      if (faults_.group_of(lid) == group) blocked = false;
     if (blocked) impl_->close_peer(*peer, net::NetErrorCode::kDropped);
   }
-}
-
-void TcpTransport::clear_partition() {
-  std::lock_guard lock(impl_->state_mutex);
-  impl_->partition_groups.clear();
-  impl_->partitioned = false;
-}
-
-bool TcpTransport::partitioned() const {
-  std::lock_guard lock(impl_->state_mutex);
-  return impl_->partitioned;
-}
-
-void TcpTransport::set_link_fault(net::NodeId from, net::NodeId to,
-                                  net::LinkFault fault) {
-  std::lock_guard lock(impl_->state_mutex);
-  impl_->links[link_key(from, to)] = fault;
-}
-void TcpTransport::clear_link_fault(net::NodeId from, net::NodeId to) {
-  std::lock_guard lock(impl_->state_mutex);
-  impl_->links.erase(link_key(from, to));
-}
-void TcpTransport::clear_link_faults() {
-  std::lock_guard lock(impl_->state_mutex);
-  impl_->links.clear();
 }
 
 std::optional<ControlReply> TcpTransport::control(

@@ -20,13 +20,15 @@
 //     next call re-dials, subject to exponential backoff, bumping
 //     transport.reconnects when a previously-working peer comes back.
 //
-// Chaos maps onto the socket layer client-side: set_node_down fails calls
-// fast and kills the live connection; partitions refuse cross-group calls
-// and kill crossing connections; drop probability rolls per leg (a
-// request-leg drop never writes the frame, a response-leg drop discards
-// the arrived reply); extra latency sleeps the caller.  Listener-side
-// suspension (the replica refusing the world) is driven separately through
-// the control plane — see harness::Cluster::crash_node.
+// Faults come from the net::FaultModel every net::Transport carries — the
+// same model, and the same per-request fate, as the simulation: a down
+// node or a partition fails the call fast, a request-leg drop never writes
+// the frame, a response-leg drop discards the arrived reply, and extra
+// latency sleeps the caller.  TcpTransport adds only the socket reactions:
+// set_node_down and set_partition also kill the live connections they now
+// block.  Listener-side suspension (the replica refusing the world) is
+// driven separately through the control plane — see
+// harness::Cluster::crash_node.
 //
 // The control plane rides one SEPARATE blocking connection per peer,
 // serialized by a per-peer mutex and immune to the fault knobs, so the
@@ -91,24 +93,16 @@ class TcpTransport final : public dtm::DtmTransport {
   std::vector<net::CallResult<dtm::Response>> multicall(
       net::NodeId from, const std::vector<net::NodeId>& targets,
       const dtm::Request& req) override;
-  void register_local(net::NodeId id, Handler handler) override;
+  /// Serves `id` locally: calls addressed to it loop back in-process.
+  void register_node(net::NodeId id, Handler handler) override;
 
+  // -- socket reactions to faults -------------------------------------------
+  /// Also kills the live connection to a node going down, and lifts its
+  /// re-dial backoff when it comes back up.
   void set_node_down(net::NodeId id, bool down) override;
-  bool node_down(net::NodeId id) const override;
-  void set_drop_probability(double p) override;
-  double drop_probability() const override;
-  void set_extra_latency(Nanos extra) override;
-  Nanos extra_latency() const override;
+  /// Also kills the live connections the partition now blocks.
   void set_partition(
       const std::vector<std::vector<net::NodeId>>& groups) override;
-  void clear_partition() override;
-  bool partitioned() const override;
-  void set_link_fault(net::NodeId from, net::NodeId to,
-                      net::LinkFault fault) override;
-  void clear_link_fault(net::NodeId from, net::NodeId to) override;
-  void clear_link_faults() override;
-
-  const net::TransportCounters& counters() const override { return counters_; }
 
   // -- control plane ------------------------------------------------------
   /// Round-trip one management op to `to`; nullopt when the peer is
@@ -125,7 +119,6 @@ class TcpTransport final : public dtm::DtmTransport {
   struct Impl;
   std::map<net::NodeId, Endpoint> peers_;
   std::unique_ptr<Impl> impl_;
-  net::TransportCounters counters_;
 };
 
 }  // namespace acn::transport

@@ -21,6 +21,7 @@
 
 #include "src/acn/blocks.hpp"
 #include "src/acn/txir.hpp"
+#include "src/common/rng.hpp"
 #include "src/dtm/server.hpp"
 
 namespace acn::workloads {
@@ -89,10 +90,6 @@ class Workload {
 /// Throws std::runtime_error when no replica holds the object.
 store::VersionedRecord latest_value(const std::vector<dtm::Server*>& servers,
                                     const store::ObjectKey& key);
-
-/// Seed `key` = `value` on every replica.
-void seed_all(const std::vector<dtm::Server*>& servers,
-              const store::ObjectKey& key, const store::Record& value);
 
 /// Pick a profile index by weight.
 std::size_t pick_profile(const std::vector<TxProfile>& profiles, Rng& rng);

@@ -413,27 +413,25 @@ TEST(RunApi, MissingInputsAreRejected) {
                std::invalid_argument);
 }
 
-TEST(RunApi, ConfigOverrideAppliesForOneRunOnly) {
-  // A mid-block conflict normally costs one *partial* retry.  Overriding
-  // max_partial_retries to 0 for a single run must turn it into a full
-  // restart — and the very next run must see the constructor config again.
+TEST(RunApi, NoPartialRetriesTurnsAMidBlockConflictIntoAFullRestart) {
+  // A mid-block conflict normally costs one *partial* retry; with
+  // max_partial_retries = 0 it must cost a full restart instead.
   PrefetchRig rig(/*n_fires=*/1, /*sabotage_after_read_b=*/true);
   auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-
   ExecutorConfig strict = fast_executor();
   strict.max_partial_retries = 0;
-  RunOptions options = rig.options(/*batch=*/false);
-  options.config_override = &strict;
+  Executor strict_executor(stub, strict, 1);
 
   ExecStats stats;
-  executor.run(Protocol::kManualCN, options, {}, stats);
+  strict_executor.run(Protocol::kManualCN, rig.options(/*batch=*/false), {},
+                      stats);
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.partial_aborts, 0u);
   EXPECT_EQ(stats.full_aborts, 1u);
 
   // Re-arm the saboteur; the default config absorbs it as a partial retry.
   *rig.fires = 1;
+  Executor executor(stub, fast_executor(), 1);
   executor.run(Protocol::kManualCN, rig.options(/*batch=*/false), {}, stats);
   EXPECT_EQ(stats.commits, 2u);
   EXPECT_EQ(stats.partial_aborts, 1u);

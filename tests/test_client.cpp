@@ -25,6 +25,7 @@
 #include "src/shard/client.hpp"
 #include "src/shard/router.hpp"
 #include "src/shard/shard_map.hpp"
+#include "src/workloads/bank.hpp"
 #include "src/workloads/tpcc.hpp"
 
 namespace acn::shard {
@@ -631,6 +632,33 @@ TEST(ClientFleet, SeedsOwnerScopedAndFactoryBuildsWorkingClients) {
   EXPECT_EQ(es.commits, 1u);
   EXPECT_EQ(fleet.stats().fast_path.load(), 1u);
   EXPECT_EQ(fleet.stats().cross_shard.load(), 0u);
+}
+
+TEST(ClientFleet, DriverWithoutTheFactoryRejectsAShardedCluster) {
+  // The driver's default submitter addresses group 0 only: on a sharded
+  // cluster it would measure an unsharded run on one group, even though
+  // the workload is seeded on every group.
+  harness::Cluster cluster(fast_cluster(2));
+  workloads::Bank bank({.n_branches = 4, .n_accounts = 16});
+  bank.seed(cluster.servers());
+  harness::DriverConfig driver;
+  driver.n_clients = 1;
+  driver.intervals = 1;
+  driver.interval = std::chrono::milliseconds{10};
+  try {
+    harness::run(cluster, bank, harness::Protocol::kFlat, driver);
+    FAIL() << "run() measured a 2-group cluster through group 0 only";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ClientFleet::factory()"),
+              std::string::npos)
+        << e.what();
+  }
+  // With the fleet's factory the same cluster runs.
+  ClientFleet fleet(bank, 2);
+  driver.make_submitter = fleet.factory();
+  EXPECT_GT(harness::run(cluster, bank, harness::Protocol::kFlat, driver)
+                .stats.commits,
+            0u);
 }
 
 }  // namespace

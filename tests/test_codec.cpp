@@ -10,6 +10,7 @@
 #include "src/dtm/codec.hpp"
 #include "src/transport/frame.hpp"
 #include "src/transport/wire.hpp"
+#include "src/wal/format.hpp"
 #include "src/harness/cluster.hpp"
 #include "src/workloads/bank.hpp"
 #include "src/acn/executor.hpp"
@@ -492,7 +493,7 @@ TEST(ControlCodec, UnknownOpThrows) {
 
 std::vector<std::uint8_t> frame_bytes(std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
-  transport::append_frame(out, payload);
+  wal::frame_record(out, payload);
   return out;
 }
 
@@ -505,7 +506,7 @@ TEST(Frame, RoundTripsThroughArbitraryChunking) {
     for (int i = 0; i < n; ++i) {
       std::vector<std::uint8_t> payload(rng.uniform(0, 300));
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
-      transport::append_frame(stream, payload);
+      wal::frame_record(stream, payload);
       payloads.push_back(std::move(payload));
     }
     transport::FrameReader reader;
@@ -540,7 +541,7 @@ TEST(Frame, CorruptedCrcPoisonsTheStream) {
   auto framed = frame_bytes(payload);
   framed[4] ^= 0x01;  // flip one CRC bit
   // A healthy frame queued behind the corrupt one must never surface.
-  transport::append_frame(framed, payload);
+  wal::frame_record(framed, payload);
   transport::FrameReader reader;
   EXPECT_FALSE(reader.feed(framed));
   EXPECT_TRUE(reader.poisoned());

@@ -75,8 +75,7 @@ TEST(Network, UnregisteredNodeIsRefused) {
 TEST(Network, MulticallAlignsWithTargets) {
   auto net = make_net(4);
   const std::vector<NodeId> targets{2, 0, 3};
-  const auto results =
-      net->multicall(10, targets, [](NodeId to) { return Ping{to * 10}; });
+  const auto results = net->multicall(10, targets, Ping{20});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].response.handled_by, 2);
   EXPECT_EQ(results[0].response.value, 21);
@@ -87,8 +86,7 @@ TEST(Network, MulticallAlignsWithTargets) {
 TEST(Network, MulticallSkipsDownNodesOnly) {
   auto net = make_net(3);
   net->set_node_down(1, true);
-  const auto results = net->multicall(10, {0, 1, 2},
-                                     [](NodeId) { return Ping{1}; });
+  const auto results = net->multicall(10, {0, 1, 2}, Ping{1});
   EXPECT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
@@ -179,8 +177,7 @@ TEST(Network, PartitionBlocksCrossGroupTraffic) {
   EXPECT_EQ(blocked.error, NetErrorCode::kPartitioned);
   EXPECT_GE(net->stats().partitioned(), 1u);
 
-  const auto results =
-      net->multicall(10, {0, 1, 2}, [](NodeId) { return Ping{1}; });
+  const auto results = net->multicall(10, {0, 1, 2}, Ping{1});
   EXPECT_TRUE(results[0].ok());
   EXPECT_TRUE(results[1].ok());
   EXPECT_EQ(results[2].error, NetErrorCode::kPartitioned);
@@ -224,7 +221,7 @@ TEST(Network, MulticallPaysWorstRoundTripOnce) {
   using namespace std::chrono_literals;
   auto net = make_net(4, std::make_shared<FixedLatency>(Nanos{2ms}));
   Stopwatch watch;
-  net->multicall(10, {0, 1, 2, 3}, [](NodeId) { return Ping{1}; });
+  net->multicall(10, {0, 1, 2, 3}, Ping{1});
   const auto elapsed = watch.elapsed_ns();
   EXPECT_GE(elapsed, 4'000'000u);
   // Four sequential calls would cost >= 16ms; a quorum multicall must not.
@@ -236,7 +233,7 @@ TEST(Network, MulticallPaysWorstRoundTripOnce) {
 TEST(NetDelay, ZeroLatencyRoundsNeverCount) {
   auto net = make_net(3);
   net->call(10, 0, Ping{1});
-  net->multicall(10, {0, 1, 2}, [](NodeId) { return Ping{1}; });
+  net->multicall(10, {0, 1, 2}, Ping{1});
   EXPECT_EQ(net->stats().delay_rounds(), 0u);
   EXPECT_EQ(net->stats().delay_requested_ns(), 0u);
 }
@@ -261,7 +258,7 @@ TEST(NetDelay, EveryRoundWakesNoEarlierThanRequested) {
     if (i % 2 == 0)
       net->call(10, static_cast<NodeId>(i % 4), Ping{i});
     else
-      net->multicall(10, {0, 1, 2, 3}, [&](NodeId) { return Ping{i}; });
+      net->multicall(10, {0, 1, 2, 3}, Ping{i});
     const std::uint64_t requested = net->stats().delay_requested_ns() - requested0;
     const std::uint64_t actual = net->stats().delay_actual_ns() - actual0;
     EXPECT_GT(requested, 0u) << "round " << i;
@@ -285,7 +282,7 @@ TEST(NetDelay, MulticallChargesTheSlowestHandlerNotTheSum) {
       handler_ns[static_cast<std::size_t>(id)] = spin.elapsed_ns();
       return Pong{p.value, id};
     });
-  net->multicall(10, {0, 1, 2, 3}, [](NodeId) { return Ping{1}; });
+  net->multicall(10, {0, 1, 2, 3}, Ping{1});
   ASSERT_EQ(net->stats().delay_rounds(), 1u);
   const std::uint64_t slowest =
       *std::max_element(handler_ns.begin(), handler_ns.end());
@@ -340,7 +337,7 @@ TEST(Network, NestedCallFromHandlerThrows) {
 TEST(Network, NestedMulticallFromHandlerThrows) {
   auto net = std::make_unique<TestNet>(std::make_shared<ZeroLatency>());
   net->register_node(0, [&](NodeId, const Ping& p) {
-    net->multicall(0, {1}, [](NodeId) { return Ping{1}; });
+    net->multicall(0, {1}, Ping{1});
     return Pong{p.value, 0};
   });
   net->register_node(1,

@@ -1,7 +1,8 @@
 // Real-TCP transport tests: loopback request/reply over TcpServer +
 // TcpTransport (frame correlation, torn frames, corrupt frames poisoning
 // the connection, deadlines surfacing as kDropped, reconnect after a peer
-// restart, client-side chaos knobs), cluster_main's flag parser, and the
+// restart, client-side chaos knobs, one fault script giving the same
+// outcomes on the simulated network), cluster_main's flag parser, and the
 // multi-process harness — a spawned cluster_main fleet driven through
 // harness::Cluster with TransportMode::kTcp, including cross-shard
 // transfers whose final state must match an identically-seeded simulated
@@ -13,12 +14,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <thread>
@@ -37,6 +41,7 @@
 #include "src/transport/tcp_server.hpp"
 #include "src/transport/tcp_transport.hpp"
 #include "src/transport/wire.hpp"
+#include "src/wal/format.hpp"
 
 namespace acn::transport {
 namespace {
@@ -268,6 +273,105 @@ TEST(TcpLoopback, ReconnectsAfterPeerRestart) {
   EXPECT_GE(transport->counters().reconnects.load(), 1u);
 }
 
+// ---- one fault model, two transports ------------------------------------
+
+/// One call's outcome under a fault: the error the caller saw, and whether
+/// the handler ran (which tells a request-leg drop from a reply-leg drop).
+struct Outcome {
+  net::NetErrorCode error;
+  bool handled;
+  bool operator==(const Outcome&) const = default;
+};
+
+void PrintTo(const Outcome& outcome, std::ostream* os) {
+  *os << "{error " << static_cast<int>(outcome.error)
+      << (outcome.handled ? ", handled}" : ", not handled}");
+}
+
+/// Drive one fault script through `transport`: after each step, caller 100
+/// calls node 0, whose handler bumps `handled`.  Every call must also take
+/// at least its step's extra latency.
+std::vector<Outcome> run_fault_script(dtm::DtmTransport& transport,
+                                      const std::atomic<int>& handled) {
+  constexpr net::NodeId kCaller = 100;
+  struct Step {
+    std::function<void()> apply;
+    std::chrono::nanoseconds min_elapsed{0};
+  };
+  const std::vector<Step> script = {
+      {[&] { transport.set_node_down(0, true); }},
+      {[&] { transport.set_node_down(0, false); }},
+      // The caller is unlisted, so it falls into group 0.
+      {[&] { transport.set_partition({{}, {0}}); }},
+      {[&] { transport.clear_partition(); }},
+      {[&] { transport.set_link_fault(kCaller, 0, net::LinkFault{1.0}); }},
+      {[&] { transport.clear_link_fault(kCaller, 0); }},
+      {[&] { transport.set_link_fault(0, kCaller, net::LinkFault{1.0}); }},
+      {[&] { transport.clear_link_faults(); }},
+      {[&] { transport.set_drop_probability(1.0); }},
+      {[&] { transport.set_drop_probability(0.0); }},
+      {[&] {
+         transport.set_link_fault(kCaller, 0, net::LinkFault{0.0, 2ms});
+       },
+       2ms},
+  };
+  std::vector<Outcome> outcomes;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    script[i].apply();
+    const int before = handled.load();
+    const Stopwatch watch;
+    const auto result = transport.call(kCaller, 0, read_request(i + 1));
+    EXPECT_GE(watch.elapsed_ns(),
+              static_cast<std::uint64_t>(script[i].min_elapsed.count()))
+        << "step " << i;
+    outcomes.push_back({result.error, handled.load() > before});
+  }
+  return outcomes;
+}
+
+TEST(FaultModel, OneScriptGivesTheSameOutcomesOnSimAndTcp) {
+  std::atomic<int> handled{0};
+  const auto handler = [&handled](net::NodeId, const dtm::Request& req) {
+    handled.fetch_add(1);
+    dtm::ReadResponse rr;
+    rr.code = dtm::ReadCode::kOk;
+    rr.record.version = std::get<dtm::ReadRequest>(req.payload).tx;
+    dtm::Response res;
+    res.payload = rr;
+    return res;
+  };
+
+  dtm::DtmNetwork sim;
+  sim.register_node(0, handler);
+  const std::vector<Outcome> sim_outcomes = run_fault_script(sim, handled);
+
+  TcpServer server(
+      TcpServerConfig{},
+      [&handler](std::int64_t from, std::span<const std::uint8_t> body)
+          -> std::optional<std::vector<std::uint8_t>> {
+        return dtm::encode(
+            handler(static_cast<net::NodeId>(from), dtm::decode_request(body)));
+      },
+      [](std::span<const std::uint8_t>) {
+        return ControlOutcome{encode_control_reply(ControlReply{}),
+                              ControlAction::kNone};
+      });
+  auto tcp = dial(server.port());
+  const std::vector<Outcome> tcp_outcomes = run_fault_script(*tcp, handled);
+
+  using net::NetErrorCode;
+  const std::vector<Outcome> expected = {
+      {NetErrorCode::kNodeDown, false},     {NetErrorCode::kOk, true},
+      {NetErrorCode::kPartitioned, false},  {NetErrorCode::kOk, true},
+      {NetErrorCode::kDropped, false},      {NetErrorCode::kOk, true},
+      {NetErrorCode::kDropped, true},       {NetErrorCode::kOk, true},
+      {NetErrorCode::kDropped, false},      {NetErrorCode::kOk, true},
+      {NetErrorCode::kOk, true},
+  };
+  EXPECT_EQ(sim_outcomes, expected);
+  EXPECT_EQ(tcp_outcomes, sim_outcomes);
+}
+
 // ---- raw-socket tests: torn and corrupt frames --------------------------
 
 int raw_dial(int port) {
@@ -312,10 +416,10 @@ TEST(TcpRawSocket, TornFramesReassembleByteByByte) {
   const int fd = raw_dial(server->port());
 
   std::vector<std::uint8_t> stream;
-  append_frame(stream, encode_hello(Channel::kData, /*node=*/42));
-  append_frame(stream,
-               encode_request_payload(/*id=*/12345, /*from=*/42,
-                                      read_request(6)));
+  wal::frame_record(stream, encode_hello(Channel::kData, /*node=*/42));
+  wal::frame_record(stream,
+                    encode_request_payload(/*id=*/12345, /*from=*/42,
+                                           read_request(6)));
   // One byte per write: the server's reader sees maximally torn frames —
   // partial length prefix, partial CRC, partial payload — and must
   // reassemble without ever acting on an incomplete frame.
@@ -338,9 +442,9 @@ TEST(TcpRawSocket, CorruptFramePoisonsTheConnection) {
   const int fd = raw_dial(server->port());
 
   std::vector<std::uint8_t> stream;
-  append_frame(stream, encode_hello(Channel::kData, 42));
+  wal::frame_record(stream, encode_hello(Channel::kData, 42));
   const std::size_t request_start = stream.size();
-  append_frame(stream, encode_request_payload(1, 42, read_request(6)));
+  wal::frame_record(stream, encode_request_payload(1, 42, read_request(6)));
   stream[request_start + 8] ^= 0x01;  // corrupt the request payload
   write_all(fd, stream);
 
@@ -352,8 +456,8 @@ TEST(TcpRawSocket, CorruptFramePoisonsTheConnection) {
   // The listener itself is unharmed: a clean connection still works.
   const int fd2 = raw_dial(server->port());
   std::vector<std::uint8_t> clean;
-  append_frame(clean, encode_hello(Channel::kData, 43));
-  append_frame(clean, encode_request_payload(2, 43, read_request(8)));
+  wal::frame_record(clean, encode_hello(Channel::kData, 43));
+  wal::frame_record(clean, encode_request_payload(2, 43, read_request(8)));
   write_all(fd2, clean);
   EXPECT_TRUE(read_frame(fd2).has_value());
   ::close(fd2);
