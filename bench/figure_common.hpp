@@ -35,8 +35,7 @@
 //                        as a cluster_main process on localhost sockets and
 //                        drives it through transport::TcpTransport; per-
 //                        process logs land under --tcp-log-dir
-//   --tcp-log-dir DIR    replica stderr logs + topology file (default
-//                        cluster-logs)
+//   --tcp-log-dir DIR    replica stderr logs (default cluster-logs)
 // Execution mode (src/queue — the deterministic epoch lane):
 //   --exec=MODE          acn | queue | hybrid (default acn).  queue sends
 //                        every predictable transaction through the epoch

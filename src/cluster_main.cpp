@@ -13,8 +13,6 @@
 // Flags (transport::parse_replica_flags; an unknown flag or an
 // out-of-range value exits 2):
 //   --node=N (required)  --group=G  --host=H  --port=P  --workers=N (1..256)
-//   --config=FILE        topology file (src/transport/topology.hpp); the
-//                        node's group/host/port come from its [[node]] entry
 //   --lease-ns=N         prepare lease lifetime (<= 0 = never expires)
 //   --window-ns=N        contention window (0 = rolled via control plane)
 //   --durability=none|wal  --data-dir=DIR (default acn-data/node-N)
@@ -32,7 +30,6 @@
 #include "src/dtm/codec.hpp"
 #include "src/transport/replica_host.hpp"
 #include "src/transport/tcp_server.hpp"
-#include "src/transport/topology.hpp"
 
 namespace {
 
@@ -77,27 +74,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  transport::ReplicaFlags flags = *std::move(parsed);
-  transport::ReplicaConfig& replica = flags.replica;
-
-  if (!flags.config_path.empty()) {
-    const auto topo = transport::load_topology(flags.config_path, &error);
-    if (!topo) {
-      std::fprintf(stderr, "bad --config %s: %s\n", flags.config_path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    if (const transport::TopologyNode* self = topo->find(replica.node)) {
-      if (!flags.group_set) replica.group = self->group;
-      flags.host = self->host;
-      if (flags.port == 0) flags.port = self->port;
-    } else {
-      std::fprintf(stderr, "node %d not in topology %s\n", replica.node,
-                   flags.config_path.c_str());
-      return 2;
-    }
-    if (topo->durability == "wal") replica.durable = true;
-  }
+  const transport::ReplicaFlags flags = *std::move(parsed);
+  const transport::ReplicaConfig& replica = flags.replica;
 
   try {
     transport::ReplicaHost host(replica);

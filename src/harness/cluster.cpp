@@ -10,7 +10,6 @@
 #include "src/common/rng.hpp"
 #include "src/transport/spawn.hpp"
 #include "src/transport/tcp_transport.hpp"
-#include "src/transport/topology.hpp"
 
 namespace acn::harness {
 namespace {
@@ -113,11 +112,6 @@ void Cluster::spawn_fleet() {
                                  : config_.tcp.binary;
   fleet_ = std::make_unique<transport::ProcessFleet>();
 
-  transport::Topology topology;
-  topology.servers = config_.n_servers;
-  topology.groups = config_.n_groups;
-  topology.durability =
-      config_.durability.mode == DurabilityMode::kWal ? "wal" : "none";
   std::map<net::NodeId, transport::Endpoint> peers;
   for (std::size_t i = 0; i < total_nodes_; ++i) {
     transport::ReplicaFlags flags;
@@ -129,16 +123,12 @@ void Cluster::spawn_fleet() {
         log_dir + "/node-" + std::to_string(i) + ".log",
         config_.tcp.ready_timeout);
     peers[static_cast<net::NodeId>(i)] = {config_.tcp.host, port};
-    topology.nodes.push_back(
-        {static_cast<int>(i), flags.replica.group, config_.tcp.host, port});
   }
-  // Record what ran: a failed CI job's artifacts then name every process.
-  transport::save_topology(topology, log_dir + "/topology.toml");
 
   transport::TcpTransportConfig transport_config;
   transport_config.call_timeout = config_.tcp.call_timeout;
-  tcp_ = std::make_unique<transport::TcpTransport>(
-      std::move(peers), transport_config, /*seed=*/0xacd7c9);
+  tcp_ = std::make_unique<transport::TcpTransport>(std::move(peers),
+                                                   transport_config);
   transport_ = tcp_.get();
 }
 

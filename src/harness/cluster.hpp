@@ -79,7 +79,8 @@ struct TcpClusterConfig {
   std::chrono::milliseconds call_timeout{250};
   /// Worker threads per replica process.
   std::size_t server_workers = 2;
-  /// Per-process stderr logs and the generated topology file land here.
+  /// Per-process stderr logs land here (each names its node's host and
+  /// port).
   std::string log_dir = "cluster-logs";
   /// How long a spawned replica may take to report ACN_READY.
   std::chrono::milliseconds ready_timeout{10000};

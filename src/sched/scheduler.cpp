@@ -148,7 +148,8 @@ void TxScheduler::acquire_queues(Session& session, const KeyFootprint& footprint
   }
 
   const int width = std::max(1, config_.queue_width);
-  for (KeyQueue* queue : queues) {
+  for (std::size_t i = 0; i < queues.size(); ++i) {
+    KeyQueue* queue = queues[i];
     std::unique_lock lock(queue->mutex);
     const std::uint64_t ticket = queue->next++;
     // A ticket starts when it reaches the dispatch point AND the service
@@ -190,8 +191,11 @@ void TxScheduler::acquire_queues(Session& session, const KeyFootprint& footprint
     queue->abandoned.insert(ticket);
     advance_locked(*queue);
     queue->cv.notify_all();
-    queue->users.fetch_sub(1, std::memory_order_relaxed);
     lock.unlock();
+    // Drop this queue's reference and those of the queues never reached
+    // (KeyQueue::users states the ordering tick() relies on).
+    for (std::size_t j = i; j < queues.size(); ++j)
+      queues[j]->users.fetch_sub(1, std::memory_order_release);
     if (obs_) obs_->sched_queue_timeouts.add();
     release_queues(session);
     return;
@@ -209,7 +213,7 @@ void TxScheduler::release_queues(Session& session) {
       advance_locked(*queue);
       queue->cv.notify_all();
     }
-    queue->users.fetch_sub(1, std::memory_order_relaxed);
+    queue->users.fetch_sub(1, std::memory_order_release);
   }
   session.held_.clear();
   session.tickets_.clear();
@@ -255,7 +259,7 @@ void TxScheduler::tick() {
     // references (users counts handed-out pointers; it only grows under
     // hot_mutex_, so a zero here is stable for the duration of the sweep).
     const bool queue_idle =
-        !entry.queue || entry.queue->users.load(std::memory_order_relaxed) == 0;
+        !entry.queue || entry.queue->users.load(std::memory_order_acquire) == 0;
     if (!hot && queue_idle && entry.score < 0.25)
       it = hot_.erase(it);
     else

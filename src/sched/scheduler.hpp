@@ -217,6 +217,10 @@ class TxScheduler {
     std::size_t waiters = 0;
     /// Handed-out references (incremented under the scheduler's hot_mutex_,
     /// decremented when the holder is done); tick() only evicts at zero.
+    /// A user decrements only after it has unlocked `mutex`, with release
+    /// order, and tick() loads with acquire: a zero it reads is then
+    /// ordered after every write of every former user, so destroying the
+    /// queue races with none of them.
     std::atomic<int> users{0};
   };
 

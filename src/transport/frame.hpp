@@ -19,11 +19,22 @@
 // reader is incremental (feed() accepts arbitrary byte slices, frames
 // surface as their last byte arrives) and never reads past the bytes it
 // was given.
+//
+// FrameStream is the one way frames move over a socket: a non-blocking
+// connection, its FrameReader and its write queue, watched on an epoll
+// set.  TcpServer connections and both of a TcpTransport peer's
+// connections (data and control) are FrameStreams, so the send loop, the
+// receive loop and their byte / corruption counting exist once.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
+
+namespace acn::net {
+struct TransportCounters;
+}
 
 namespace acn::transport {
 
@@ -57,6 +68,64 @@ class FrameReader {
   std::vector<std::uint8_t> buffer_;  // undecoded tail of the stream
   std::size_t consumed_ = 0;          // decoded prefix of buffer_
   std::vector<std::vector<std::uint8_t>> ready_;
+};
+
+/// One connection's frame stream.  Not thread-safe: its owner serializes
+/// every call (TcpServer on its IO thread, TcpTransport under its state
+/// lock).  The destructor closes the socket.
+class FrameStream {
+ public:
+  /// Handles one payload; false finishes the connection.
+  using PayloadFn = std::function<bool(std::span<const std::uint8_t>)>;
+
+  FrameStream() = default;
+  ~FrameStream() { close(); }
+  FrameStream(const FrameStream&) = delete;
+  FrameStream& operator=(const FrameStream&) = delete;
+
+  /// Adopt the non-blocking socket `fd` (connected, or with its connect in
+  /// progress) into a closed stream, set TCP_NODELAY and watch it on
+  /// `epoll_fd`, whose events carry `tag`.  A non-empty `hello` is framed
+  /// ahead of everything already queued.
+  void open(int fd, int epoll_fd, std::uint64_t tag,
+            std::span<const std::uint8_t> hello = {});
+  /// Close the socket (if open) and drop the write queue and any partial
+  /// frame.
+  void close();
+
+  bool is_open() const noexcept { return fd_ >= 0; }
+  int fd() const noexcept { return fd_; }
+  bool has_queued() const noexcept { return woff_ < wbuf_.size(); }
+
+  /// Frame `payload` onto the write queue.  Also valid while closed: the
+  /// frame goes out once a socket is open.
+  void queue(std::span<const std::uint8_t> payload);
+  /// Send until the queue is empty or the socket would block, counting
+  /// bytes_sent.  False: the connection failed.
+  bool flush(net::TransportCounters& counters);
+  /// React to the epoll `events` reported for this stream: flush on
+  /// writability, then receive on readability, a hang-up or an error.
+  /// False: the connection is finished (see flush and receive).
+  bool on_events(std::uint32_t events, net::TransportCounters& counters,
+                 const PayloadFn& on_payload);
+
+ private:
+  /// Read until the socket would block, counting bytes_recv, and hand each
+  /// complete payload to `on_payload` in stream order.  False: the
+  /// connection is finished — EOF, a socket error, a corrupt frame
+  /// (counted in frames_corrupt) or `on_payload` returning false.  The
+  /// payloads that arrived before the end are delivered first.
+  bool receive(net::TransportCounters& counters, const PayloadFn& on_payload);
+  /// Watch for writability only while frames wait in the queue.
+  void watch_writes(bool on);
+
+  int fd_ = -1;
+  int epoll_fd_ = -1;
+  std::uint64_t tag_ = 0;
+  std::uint32_t events_ = 0;  // current epoll interest; 0 = not registered
+  FrameReader reader_;
+  std::vector<std::uint8_t> wbuf_;
+  std::size_t woff_ = 0;  // bytes of wbuf_ already sent
 };
 
 }  // namespace acn::transport

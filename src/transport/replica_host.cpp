@@ -118,8 +118,6 @@ std::vector<std::string> replica_args(const ReplicaFlags& flags) {
       "--snapshot-bytes=" + std::to_string(r.wal.snapshot_every_bytes),
   };
   if (!r.wal.fsync) args.push_back("--no-fsync");
-  if (!flags.config_path.empty())
-    args.push_back("--config=" + flags.config_path);
   return args;
 }
 
@@ -178,11 +176,8 @@ std::optional<ReplicaFlags> parse_replica_flags(
         return std::nullopt;
       }
       *int_flag->out = v;
-      flags.group_set |= int_flag->out == &group;
     } else if (name == "--host") {
       flags.host = value;
-    } else if (name == "--config") {
-      flags.config_path = value;
     } else if (name == "--data-dir") {
       r.wal.dir = value;
     } else if (name == "--durability" && (value == "none" || value == "wal")) {

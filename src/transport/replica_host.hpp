@@ -62,11 +62,9 @@ class ReplicaHost {
 
 struct ReplicaFlags {
   ReplicaConfig replica;
-  bool group_set = false;  // --group given: it beats the --config topology's
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral
   std::size_t workers = 2;
-  std::string config_path;  // topology file; empty = none
 };
 
 /// Upper bound on --workers (request worker threads per replica).

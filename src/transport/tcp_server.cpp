@@ -1,10 +1,7 @@
 #include "src/transport/tcp_server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -22,28 +19,24 @@
 #include <unordered_map>
 
 #include "src/transport/frame.hpp"
-#include "src/wal/format.hpp"
 
 namespace acn::transport {
 namespace {
 
-void set_nodelay(int fd) {
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
+// epoll tags: the listener, the wake-up eventfd, then one serial per
+// connection, never reused (an event for a connection closed earlier in
+// the same batch finds nothing).
+constexpr std::uint64_t kListenerTag = 0;
+constexpr std::uint64_t kWakeTag = 1;
 
 }  // namespace
 
 struct TcpServer::Impl {
   struct Conn {
-    int fd = -1;
-    std::uint64_t serial = 0;
+    FrameStream stream;
     bool hello_seen = false;
     Channel channel = Channel::kData;
     std::int64_t node = -1;
-    FrameReader reader;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;
   };
 
   struct Job {
@@ -56,8 +49,8 @@ struct TcpServer::Impl {
 
   struct Outgoing {
     std::uint64_t conn = 0;
-    std::vector<std::uint8_t> bytes;  // already framed
-    bool poison = false;              // close instead of replying
+    std::vector<std::uint8_t> payload;
+    bool poison = false;  // close instead of replying
   };
 
   TcpServerConfig config;
@@ -84,15 +77,13 @@ struct TcpServer::Impl {
   std::atomic<bool> suspended{false};
   std::atomic<bool> stopping{false};
   std::atomic<bool> stopped{false};
-  std::atomic<std::uint64_t> unflushed{0};  // queued write bytes, io-owned
 
   std::mutex shutdown_mutex;
   std::condition_variable shutdown_cv;
   bool shutdown_requested = false;
 
-  std::unordered_map<int, Conn> conns;                   // by fd
-  std::unordered_map<std::uint64_t, int> conn_by_serial;
-  std::uint64_t next_serial = 1;
+  std::unordered_map<std::uint64_t, Conn> conns;  // by serial; IO thread only
+  std::uint64_t next_serial = kWakeTag + 1;
 
   void wake() {
     std::uint64_t one = 1;
@@ -117,70 +108,19 @@ struct TcpServer::Impl {
 
   // ---- IO-thread side ---------------------------------------------------
 
-  void update_interest(Conn& c) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (c.woff < c.wbuf.size() ? EPOLLOUT : 0u);
-    ev.data.fd = c.fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
-  }
-
-  void close_conn(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    unflushed.fetch_sub(it->second.wbuf.size() - it->second.woff,
-                        std::memory_order_relaxed);
-    conn_by_serial.erase(it->second.serial);
-    epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    conns.erase(it);
-  }
-
   void close_data_conns() {
-    std::vector<int> victims;
-    for (const auto& [fd, c] : conns)
-      if (!c.hello_seen || c.channel == Channel::kData) victims.push_back(fd);
-    for (const int fd : victims) close_conn(fd);
+    std::erase_if(conns, [](const auto& entry) {
+      return !entry.second.hello_seen || entry.second.channel == Channel::kData;
+    });
   }
 
   void accept_loop() {
     for (;;) {
       const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-      if (fd < 0) break;
-      set_nodelay(fd);
-      Conn c;
-      c.fd = fd;
-      c.serial = next_serial++;
-      c.reader = FrameReader(config.max_frame);
-      conn_by_serial[c.serial] = fd;
-      conns.emplace(fd, std::move(c));
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+      if (fd < 0) return;
+      const std::uint64_t serial = next_serial++;
+      conns[serial].stream.open(fd, epoll_fd, serial);
     }
-  }
-
-  void flush_writes(Conn& c) {
-    while (c.woff < c.wbuf.size()) {
-      const ssize_t n = ::send(c.fd, c.wbuf.data() + c.woff,
-                               c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-      if (n > 0) {
-        c.woff += static_cast<std::size_t>(n);
-        counters->bytes_sent.fetch_add(static_cast<std::uint64_t>(n),
-                                       std::memory_order_relaxed);
-        unflushed.fetch_sub(static_cast<std::uint64_t>(n),
-                            std::memory_order_relaxed);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      close_conn(c.fd);
-      return;
-    }
-    if (c.woff == c.wbuf.size()) {
-      c.wbuf.clear();
-      c.woff = 0;
-    }
-    update_interest(c);
   }
 
   void drain_outbox() {
@@ -192,16 +132,14 @@ struct TcpServer::Impl {
       acts.swap(actions);
     }
     for (Outgoing& out : batch) {
-      const auto it = conn_by_serial.find(out.conn);
-      if (it == conn_by_serial.end()) continue;  // peer already gone
+      const auto it = conns.find(out.conn);
+      if (it == conns.end()) continue;  // peer already gone
       if (out.poison) {
-        close_conn(it->second);
+        conns.erase(it);
         continue;
       }
-      Conn& c = conns.at(it->second);
-      c.wbuf.insert(c.wbuf.end(), out.bytes.begin(), out.bytes.end());
-      unflushed.fetch_add(out.bytes.size(), std::memory_order_relaxed);
-      flush_writes(c);
+      it->second.stream.queue(out.payload);
+      if (!it->second.stream.flush(*counters)) conns.erase(it);
     }
     for (const ControlAction action : acts) {
       switch (action) {
@@ -224,8 +162,9 @@ struct TcpServer::Impl {
     }
   }
 
-  // One decoded frame payload from `c`; false => close the connection.
-  bool handle_payload(Conn& c, std::span<const std::uint8_t> payload) {
+  // One decoded frame payload from connection `serial`; false => close it.
+  bool handle_payload(std::uint64_t serial, Conn& c,
+                      std::span<const std::uint8_t> payload) {
     Envelope env;
     try {
       env = read_envelope(payload);
@@ -256,7 +195,7 @@ struct TcpServer::Impl {
         if (body.size() < sizeof(std::uint64_t)) return false;
         dtm::Decoder dec(body);
         Job job;
-        job.conn = c.serial;
+        job.conn = serial;
         job.id = env.id;
         job.from = dec.i64();
         const auto req = body.subspan(sizeof(std::uint64_t));
@@ -267,7 +206,7 @@ struct TcpServer::Impl {
       case FrameKind::kControl: {
         if (!c.hello_seen || c.channel != Channel::kControl) return false;
         Job job;
-        job.conn = c.serial;
+        job.conn = serial;
         job.id = env.id;
         job.control = true;
         job.body.assign(body.begin(), body.end());
@@ -281,30 +220,15 @@ struct TcpServer::Impl {
     }
   }
 
-  void handle_readable(Conn& c) {
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-      const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
-      if (n > 0) {
-        counters->bytes_recv.fetch_add(static_cast<std::uint64_t>(n),
-                                       std::memory_order_relaxed);
-        if (!c.reader.feed({buf, static_cast<std::size_t>(n)})) {
-          counters->frames_corrupt.fetch_add(1, std::memory_order_relaxed);
-          close_conn(c.fd);
-          return;
-        }
-        for (const auto& payload : c.reader.take()) {
-          if (!handle_payload(c, payload)) {
-            close_conn(c.fd);
-            return;
-          }
-        }
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      close_conn(c.fd);  // EOF or hard error
-      return;
-    }
+  void serve(std::uint64_t serial, std::uint32_t events) {
+    const auto it = conns.find(serial);
+    if (it == conns.end()) return;  // closed earlier in this batch
+    Conn& c = it->second;
+    const bool open = c.stream.on_events(
+        events, *counters, [&](std::span<const std::uint8_t> payload) {
+          return handle_payload(serial, c, payload);
+        });
+    if (!open) conns.erase(it);
   }
 
   void io_loop() {
@@ -316,42 +240,35 @@ struct TcpServer::Impl {
         break;
       }
       for (int i = 0; i < n; ++i) {
-        const int fd = events[i].data.fd;
-        if (fd == listen_fd) {
+        const std::uint64_t tag = events[i].data.u64;
+        if (tag == kListenerTag) {
           accept_loop();
-          continue;
-        }
-        if (fd == event_fd) {
+        } else if (tag == kWakeTag) {
           std::uint64_t drained;
           [[maybe_unused]] ssize_t r = ::read(event_fd, &drained, sizeof drained);
           drain_outbox();
-          continue;
+        } else {
+          serve(tag, events[i].events);
         }
-        auto it = conns.find(fd);
-        if (it == conns.end()) continue;
-        if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-          close_conn(fd);
-          continue;
-        }
-        if (events[i].events & EPOLLOUT) flush_writes(it->second);
-        it = conns.find(fd);  // flush may have closed (and erased) the conn
-        if (it == conns.end()) continue;
-        if (events[i].events & EPOLLIN) handle_readable(it->second);
       }
     }
-    // Final courtesy flush so a shutdown reply reaches its caller.
+    // Final courtesy flush so a shutdown reply reaches its caller: a
+    // connection retires once its queue is empty or its socket fails.
     drain_outbox();
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-    while (unflushed.load(std::memory_order_relaxed) > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      for (auto& [fd, c] : conns)
-        if (c.woff < c.wbuf.size()) flush_writes(c);
+    for (;;) {
+      for (auto it = conns.begin(); it != conns.end();) {
+        FrameStream& stream = it->second.stream;
+        if (!stream.flush(*counters) || !stream.has_queued())
+          it = conns.erase(it);
+        else
+          ++it;
+      }
+      if (conns.empty() || std::chrono::steady_clock::now() >= deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    std::vector<int> fds;
-    for (const auto& [fd, c] : conns) fds.push_back(fd);
-    for (const int fd : fds) close_conn(fd);
+    conns.clear();
   }
 
   // ---- worker side ------------------------------------------------------
@@ -379,18 +296,12 @@ struct TcpServer::Impl {
       if (job.control) {
         ControlOutcome outcome = on_control(job.body);
         action = outcome.action;
-        const auto payload =
+        out.payload =
             make_payload(FrameKind::kControlReply, job.id, outcome.reply_body);
-        wal::frame_record(out.bytes, payload);
+      } else if (const auto response = on_data(job.from, job.body)) {
+        out.payload = make_payload(FrameKind::kResponse, job.id, *response);
       } else {
-        const auto response = on_data(job.from, job.body);
-        if (!response) {
-          out.poison = true;
-        } else {
-          const auto payload =
-              make_payload(FrameKind::kResponse, job.id, *response);
-          wal::frame_record(out.bytes, payload);
-        }
+        out.poison = true;
       }
       push_outgoing(std::move(out));
       if (action != ControlAction::kNone) push_action(action);
@@ -402,8 +313,7 @@ struct TcpServer::Impl {
     std::lock_guard lock(job_mutex);
     std::lock_guard lock2(out_mutex);
     return jobs.empty() && outbox.empty() &&
-           jobs_inflight.load(std::memory_order_relaxed) == 0 &&
-           unflushed.load(std::memory_order_relaxed) == 0;
+           jobs_inflight.load(std::memory_order_relaxed) == 0;
   }
 };
 
@@ -443,9 +353,9 @@ TcpServer::TcpServer(TcpServerConfig config, DataHandler on_data,
     throw std::runtime_error("TcpServer: epoll/eventfd failed");
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = impl_->listen_fd;
+  ev.data.u64 = kListenerTag;
   epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &ev);
-  ev.data.fd = impl_->event_fd;
+  ev.data.u64 = kWakeTag;
   epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->event_fd, &ev);
 
   impl_->io = std::thread([this] { impl_->io_loop(); });

@@ -1,15 +1,16 @@
 // Asynchronous TCP server for a replica process.
 //
 // One epoll IO thread owns the listening socket and every accepted
-// connection; a small worker pool executes request handlers so a slow
-// handler (fsync in a durable commit) never stalls the event loop.  The
-// flow per data request:
+// connection, each a FrameStream (src/transport/frame.hpp, the same
+// stream TcpTransport dials); a small worker pool executes request
+// handlers so a slow handler (fsync in a durable commit) never stalls the
+// event loop.  The flow per data request:
 //
-//   IO thread: read bytes -> FrameReader -> envelope -> enqueue job
+//   IO thread: FrameStream receive -> envelope -> enqueue job
 //   worker:    DataHandler(from, request body) -> response body
-//              -> push framed kResponse (same id) to the outbox
-//   IO thread: (eventfd wakeup) append to the connection's write queue,
-//              flush as EPOLLOUT allows
+//              -> push the kResponse payload (same id) to the outbox
+//   IO thread: (eventfd wakeup) frame it onto the connection's write
+//              queue, flush as the socket allows
 //
 // Two planes share the port, split per connection by the hello frame:
 //   * data — dtm protocol traffic.  suspend() kills every data connection
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "src/net/transport.hpp"
-#include "src/transport/frame.hpp"
 #include "src/transport/wire.hpp"
 
 namespace acn::transport {
@@ -43,7 +43,6 @@ struct TcpServerConfig {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; read the bound port from port()
   std::size_t workers = 2;
-  std::size_t max_frame = kMaxFramePayload;
 };
 
 /// What the server should do to itself after a control op.

@@ -12,7 +12,7 @@
 //   kRequest      body: [i64 from][codec-encoded dtm::Request]
 //   kResponse     body: [codec-encoded dtm::Response]
 //
-// Control plane (id = control sequence number):
+// Control plane (id = request id, from the same counter as data calls):
 //   kControl      body: encoded ControlRequest
 //   kControlReply body: encoded ControlReply
 //
@@ -23,8 +23,9 @@
 // for 2PC decisions and finishes a committed prepare this way).
 // transport::ReplicaHost answers every op for both transports: sim mode
 // passes it these structs in-process, TCP mode encodes them for the host
-// inside cluster_main.  Over TCP the control plane rides a SEPARATE
-// connection per peer — chaos suspends a replica's data plane (connection
+// inside cluster_main.  Over TCP the control plane rides its own
+// connection per peer, served by the same TcpTransport IO thread as the
+// data connection — chaos suspends a replica's data plane (connection
 // kills + refusing new data hellos) while control keeps answering,
 // modelling the out-of-band operator access a real deployment retains into
 // a partitioned node.  Control messages use the dtm codec primitives, so

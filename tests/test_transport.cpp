@@ -1,15 +1,17 @@
 // Real-TCP transport tests: loopback request/reply over TcpServer +
 // TcpTransport (frame correlation, torn frames, corrupt frames poisoning
 // the connection, deadlines surfacing as kDropped, reconnect after a peer
-// restart, client-side chaos knobs, one fault script giving the same
-// outcomes on the simulated network), cluster_main's flag parser, and the
-// multi-process harness — a spawned cluster_main fleet driven through
-// harness::Cluster with TransportMode::kTcp, including cross-shard
-// transfers whose final state must match an identically-seeded simulated
-// cluster and a rejoin that finishes what its group committed.
+// restart, a control plane that answers under data-plane faults and
+// re-dials after a peer restart, client-side chaos knobs, one fault script
+// giving the same outcomes on the simulated network), cluster_main's flag
+// parser, and the multi-process harness — a spawned cluster_main fleet
+// driven through harness::Cluster with TransportMode::kTcp, including
+// cross-shard transfers whose final state must match an identically-seeded
+// simulated cluster and a rejoin that finishes what its group committed.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -57,9 +59,12 @@ using store::Record;
 /// verify that every response reached the caller that asked for it.
 /// `slow_tx` (when nonzero) makes that one transaction sleep `delay`,
 /// so deadline tests can stall a single call while the peer stays healthy.
+/// A nonzero `port` brings a restarted server back on its old port.
 std::unique_ptr<TcpServer> make_echo_server(
-    std::chrono::milliseconds delay = 0ms, dtm::TxId slow_tx = 0) {
+    std::chrono::milliseconds delay = 0ms, dtm::TxId slow_tx = 0,
+    int port = 0) {
   TcpServerConfig config;
+  config.port = port;
   auto on_data = [delay, slow_tx](std::int64_t from,
                                   std::span<const std::uint8_t> body)
       -> std::optional<std::vector<std::uint8_t>> {
@@ -99,7 +104,7 @@ std::unique_ptr<TcpTransport> dial(int port,
   config.call_timeout = timeout;
   return std::make_unique<TcpTransport>(
       std::map<net::NodeId, Endpoint>{{0, Endpoint{"127.0.0.1", port}}},
-      config, /*seed=*/0x7c9);
+      config);
 }
 
 TEST(TcpLoopback, CallRoundTrips) {
@@ -158,7 +163,7 @@ TEST(TcpLoopback, MulticallFansOutAcrossPeers) {
   TcpTransportConfig config;
   TcpTransport transport({{0, {"127.0.0.1", a->port()}},
                           {1, {"127.0.0.1", b->port()}}},
-                         config, 0x7c9);
+                         config);
   const auto results = transport.multicall(100, {0, 1}, read_request(3));
   ASSERT_EQ(results.size(), 2u);
   for (const auto& result : results) {
@@ -271,6 +276,68 @@ TEST(TcpLoopback, ReconnectsAfterPeerRestart) {
   }
   EXPECT_TRUE(recovered);
   EXPECT_GE(transport->counters().reconnects.load(), 1u);
+}
+
+// ---- control plane ------------------------------------------------------
+
+TEST(TcpLoopback, ControlAnswersWhileTheDataPlaneIsFaulted) {
+  // Control never consults the fault model: the harness manages replicas
+  // that the data plane treats as dead.
+  auto server = make_echo_server();
+  auto transport = dial(server->port());
+  ASSERT_TRUE(transport->call(100, 0, read_request(1)).ok());
+  struct Fault {
+    const char* name;
+    std::function<void()> apply;
+    std::function<void()> clear;
+  };
+  const std::vector<Fault> faults = {
+      {"node down", [&] { transport->set_node_down(0, true); },
+       [&] { transport->set_node_down(0, false); }},
+      {"partition", [&] { transport->set_partition({{100}, {0}}); },
+       [&] { transport->clear_partition(); }},
+      {"drop 1.0", [&] { transport->set_drop_probability(1.0); },
+       [&] { transport->set_drop_probability(0.0); }},
+  };
+  for (const Fault& fault : faults) {
+    fault.apply();
+    EXPECT_FALSE(transport->call(100, 0, read_request(2)).ok()) << fault.name;
+    const auto pong = transport->control(0, ControlRequest{});
+    ASSERT_TRUE(pong.has_value()) << fault.name;
+    EXPECT_TRUE(pong->ok) << fault.name;
+    fault.clear();
+    EXPECT_TRUE(transport->call(100, 0, read_request(3)).ok()) << fault.name;
+  }
+}
+
+TEST(TcpLoopback, ControlRedialsAfterPeerRestart) {
+  auto server = make_echo_server();
+  const int port = server->port();
+  auto transport = dial(port);
+  ASSERT_TRUE(transport->control(0, ControlRequest{}).has_value());
+
+  server.reset();  // peer process "dies"
+  EXPECT_FALSE(transport->control(0, ControlRequest{}).has_value());
+
+  server = make_echo_server(0ms, 0, port);
+  const auto pong = transport->control(0, ControlRequest{});
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(pong->ok);
+}
+
+TEST(TcpLoopback, ControlRedialsAfterSilentPeerRestart) {
+  // No call between the death and the restart: the cached control
+  // connection is stale, and the first call must still get through.
+  auto server = make_echo_server();
+  const int port = server->port();
+  auto transport = dial(port);
+  ASSERT_TRUE(transport->control(0, ControlRequest{}).has_value());
+
+  server.reset();
+  server = make_echo_server(0ms, 0, port);
+  const auto pong = transport->control(0, ControlRequest{});
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(pong->ok);
 }
 
 // ---- one fault model, two transports ------------------------------------
@@ -463,6 +530,61 @@ TEST(TcpRawSocket, CorruptFramePoisonsTheConnection) {
   ::close(fd2);
 }
 
+/// Read frames from `fd` until `count` have arrived or the peer closes.
+std::vector<std::vector<std::uint8_t>> read_frames(int fd, std::size_t count) {
+  FrameReader reader;
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::uint8_t buf[512];
+  while (frames.size() < count) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0 || !reader.feed(std::span(buf, static_cast<std::size_t>(n))))
+      break;
+    for (auto& frame : reader.take()) frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+TEST(TcpRawSocket, ControlCallIsResentOnceOnAFreshConnection) {
+  // A scripted replica reads each control connection's hello and request.
+  // It hangs up without replying on the first `hangups` connections and
+  // answers on the next.  One hang-up costs a re-send on a fresh
+  // connection; a second one fails the call, with no third connection.
+  for (const int hangups : {1, 2}) {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    ASSERT_EQ(::listen(listener, 4), 0);
+    ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+    std::thread replica([listener, hangups] {
+      for (int conn = 1; conn <= 2; ++conn) {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0) return;  // the test shut the listener down
+        const auto frames = read_frames(fd, 2);
+        if (conn > hangups && frames.size() == 2) {
+          std::vector<std::uint8_t> reply;
+          wal::frame_record(
+              reply, make_payload(FrameKind::kControlReply,
+                                  read_envelope(frames[1]).id,
+                                  encode_control_reply(ControlReply{})));
+          write_all(fd, reply);
+        }
+        ::close(fd);
+      }
+    });
+    auto transport = dial(ntohs(addr.sin_port));
+    const auto reply = transport->control(0, ControlRequest{});
+    EXPECT_EQ(reply.has_value(), hangups == 1) << hangups << " hang-ups";
+    ::fcntl(listener, F_SETFL, O_NONBLOCK);
+    EXPECT_LT(::accept(listener, nullptr, nullptr), 0) << "a third connection";
+    ::shutdown(listener, SHUT_RDWR);  // ends an accept() still waiting
+    replica.join();
+    ::close(listener);
+  }
+}
+
 // ---- cluster_main's command line ----------------------------------------
 //
 // Out-of-range values are only ever parsed here, never handed to a real
@@ -484,16 +606,13 @@ TEST(ReplicaFlags, ArgsRoundTripThroughTheParser) {
   flags.host = "10.0.0.7";
   flags.port = 7007;
   flags.workers = 4;
-  flags.config_path = "topo.toml";
   std::string error;
   const auto parsed = parse_replica_flags(replica_args(flags), error);
   ASSERT_TRUE(parsed) << error;
   EXPECT_EQ(parsed->replica, flags.replica);
-  EXPECT_TRUE(parsed->group_set);
   EXPECT_EQ(parsed->host, flags.host);
   EXPECT_EQ(parsed->port, flags.port);
   EXPECT_EQ(parsed->workers, flags.workers);
-  EXPECT_EQ(parsed->config_path, flags.config_path);
 }
 
 TEST(ReplicaFlags, DefaultsNeedOnlyANode) {
@@ -501,7 +620,6 @@ TEST(ReplicaFlags, DefaultsNeedOnlyANode) {
   const auto parsed = parse_replica_flags({"--node=4"}, error);
   ASSERT_TRUE(parsed) << error;
   EXPECT_EQ(parsed->replica.node, 4);
-  EXPECT_FALSE(parsed->group_set);
   EXPECT_FALSE(parsed->replica.durable);
   EXPECT_EQ(parsed->replica.wal.dir, "acn-data/node-4");
   EXPECT_EQ(parsed->workers, 2u);
