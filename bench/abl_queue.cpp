@@ -227,7 +227,7 @@ bool run_state_equality(const bench::BenchOptions& args,
     bench::arm_exec_mode(fleet, hybrid_args);
 
     sched::SchedulerConfig sched_config;
-    sched_config.policy = sched::SchedulerPolicy::kQueue;
+    sched_config.policy = sched::SchedulerPolicy::kBoth;
     sched_config.class_hot_level = 0;
     sched::TxScheduler scheduler(sched_config, kThreads, args.driver.seed);
     {

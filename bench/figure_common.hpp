@@ -29,7 +29,9 @@
 //   --batch-reads        fetch each Block's independent reads in one round
 //   --prefetch           also speculate on the next Block (implies the above)
 // Contention-aware scheduler (src/sched):
-//   --sched=POLICY       none | queue | admit | both (default none)
+//   --sched=POLICY       none | both (default none).  both tracks hot keys
+//                        and gates hot-footprint transactions behind a
+//                        per-client AIMD admission window
 // Transport (src/transport; benches that support it say so):
 //   --transport=MODE     sim | tcp (default sim).  tcp spawns each replica
 //                        as a cluster_main process on localhost sockets and
@@ -40,7 +42,7 @@
 //   --exec=MODE          acn | queue | hybrid (default acn).  queue sends
 //                        every predictable transaction through the epoch
 //                        lane; hybrid routes by scheduler hotness (pair it
-//                        with --sched=queue/both so hotness is tracked)
+//                        with --sched=both so hotness is tracked)
 //   --epoch-max=N        planner epoch cut size (transactions per epoch)
 //   --epoch-wait-us=N    how long the planner holds an epoch open to fill
 //   --executors=N        queue executor threads draining an epoch

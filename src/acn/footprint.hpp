@@ -2,15 +2,16 @@
 //
 // The contention-aware scheduler (src/sched) wants to know, *before* a
 // transaction touches the network, which object keys it is going to access
-// — so conflicting transactions can be serialized through local ticket
-// queues instead of racing to abort each other.  The prediction comes from
-// the same static analysis the decomposition framework already runs: a
-// remote access whose key function depends only on transaction parameters
-// (key_deps ⊆ params, the UnitGraph's read-set entries with no produced
-// inputs) has a key that is computable at submission time.  Keys produced
+// — so transactions that touch hot keys can be held back by admission, or
+// routed to the deterministic epoch lane, instead of racing to abort each
+// other.  The prediction comes from the same static analysis the
+// decomposition framework already runs: a remote access whose key function
+// depends only on transaction parameters (key_deps ⊆ params, the
+// UnitGraph's read-set entries with no produced inputs) has a key that is
+// computable at submission time.  Keys produced
 // mid-transaction (pointer chases, TPC-C order lines keyed by a fetched
 // counter) are invisible to the prediction; the scheduler stays correct
-// because queueing is an optimization — optimistic concurrency control
+// because admission is an optimization — optimistic concurrency control
 // still validates everything — just blind to those keys.
 //
 // The SchedulerGate is the inversion that keeps the layering acyclic
@@ -82,18 +83,18 @@ class SchedulerGate {
   virtual ~SchedulerGate() = default;
 
   /// Declare the predicted footprint and block until the transaction may
-  /// start (admission window has room, hot-key queue tickets acquired).
+  /// start (the admission window has room).
   virtual void admit(const KeyFootprint& footprint) = 0;
 
   /// One full abort inside the executor's retry loop: `conflict` lists the
   /// invalidated keys when known (empty for busy/unavailable aborts).  The
-  /// transaction keeps its admission slot and tickets for the retry.
+  /// transaction keeps its admission slot for the retry.
   virtual void on_full_abort(TxOutcome kind,
                              const std::vector<ir::ObjectKey>& conflict) = 0;
 
   /// The run ended (commit, or the final abort re-thrown to the caller);
-  /// releases tickets and the admission slot.  Must tolerate being called
-  /// without a preceding admit (it is then a no-op).
+  /// releases the admission slot.  Must tolerate being called without a
+  /// preceding admit (it is then a no-op).
   virtual void finish(TxOutcome outcome) = 0;
 
   /// Whether any footprint entry is currently hot, per the gate's

@@ -47,11 +47,9 @@ void Transaction::deliver_levels(const std::vector<std::uint64_t>& levels) const
 
 Record Transaction::read(const ObjectKey& key) {
   if (const Record* buffered = find_buffered(key)) {
-    ++stats_.cached_reads;
     if (obs_) obs_->cached_reads.add();
     return *buffered;
   }
-  ++stats_.remote_reads;
   if (obs_) obs_->remote_reads.add();
   auto outcome = stub_.read(id_, key, all_version_checks(), piggyback_classes_);
   deliver_levels(outcome.contention);
@@ -75,7 +73,6 @@ std::vector<std::pair<ObjectKey, VersionedRecord>> Transaction::read_many(
     if (want(key)) fetch.push_back(key);
   if (fetch.empty()) return {};
 
-  stats_.remote_reads += group_count;
   if (obs_ && group_count > 0) obs_->remote_reads.add(group_count);
   auto outcome =
       stub_.read_many(id_, fetch, all_version_checks(), piggyback_classes_);
@@ -102,12 +99,10 @@ void Transaction::write(const ObjectKey& key, Record value) {
   if (!has_read(key) && !has_written(key))
     throw std::logic_error("Transaction::write before read: " +
                            store::to_string(key) + " (use insert for fresh objects)");
-  ++stats_.writes;
   frames_.back().writes[key] = std::move(value);
 }
 
 void Transaction::insert(const ObjectKey& key, Record value) {
-  ++stats_.writes;
   frames_.back().writes[key] = std::move(value);
 }
 
@@ -258,7 +253,6 @@ void Transaction::reset(TxId new_id) {
   checkpoints_.clear();
   ticket_.reset();
   id_ = new_id;
-  stats_ = {};
 }
 
 std::size_t Transaction::read_set_size() const {

@@ -38,12 +38,6 @@ namespace acn::nesting {
 
 using dtm::Version;
 
-struct TxnStats {
-  std::uint64_t remote_reads = 0;
-  std::uint64_t cached_reads = 0;
-  std::uint64_t writes = 0;
-};
-
 class Transaction final : public TxContext {
   struct Frame {
     std::unordered_map<ObjectKey, VersionedRecord, store::ObjectKeyHash> reads;
@@ -149,7 +143,6 @@ class Transaction final : public TxContext {
   /// Every frame's read versions: the incremental-validation payload, and
   /// after commit the versions this transaction read.
   std::vector<dtm::VersionCheck> all_version_checks() const;
-  const TxnStats& stats() const noexcept { return stats_; }
 
   /// When set, a successful commit() appends the transaction's read and
   /// installed versions to `log` (for offline serializability checking).
@@ -180,7 +173,6 @@ class Transaction final : public TxContext {
   std::vector<std::vector<Frame>> checkpoints_;
   std::optional<dtm::PrepareTicket> ticket_;
   std::vector<Record> values_;  // aligned with ticket_->keys
-  TxnStats stats_;
   HistoryLog* history_ = nullptr;
   obs::Observability* obs_ = nullptr;
   std::vector<dtm::ClassId> piggyback_classes_;

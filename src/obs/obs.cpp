@@ -91,14 +91,7 @@ Observability::Observability(ObsConfig config)
       sched_admit_wait_ns(
           metrics.histogram("sched.admit.wait_ns", latency_bounds())),
       sched_admit_window(metrics.gauge("sched.admit.window_milli")),
-      sched_queue_acquires(metrics.counter("sched.queue.acquires")),
-      sched_queue_waits(metrics.counter("sched.queue.waits")),
-      sched_queue_timeouts(metrics.counter("sched.queue.timeouts")),
-      sched_queue_wait_ns(
-          metrics.histogram("sched.queue.wait_ns", latency_bounds())),
-      sched_queue_depth(
-          metrics.histogram("sched.queue.depth", batch_bounds())),
-      sched_hot_keys(metrics.gauge("sched.queue.hot_keys")),
+      sched_hot_keys(metrics.gauge("sched.hot_keys")),
       queue_epochs(metrics.counter("queue.epoch.planned")),
       queue_epoch_commits(metrics.counter("queue.epoch.commits")),
       queue_epoch_retries(metrics.counter("queue.epoch.retries")),

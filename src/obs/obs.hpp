@@ -122,12 +122,7 @@ class Observability {
   MetricsRegistry::Counter sched_admit_aged;       // force-admitted by aging
   MetricsRegistry::Histogram sched_admit_wait_ns;
   MetricsRegistry::Gauge sched_admit_window;       // last AIMD window x1000
-  MetricsRegistry::Counter sched_queue_acquires;   // hot-key tickets taken
-  MetricsRegistry::Counter sched_queue_waits;      // acquisitions that blocked
-  MetricsRegistry::Counter sched_queue_timeouts;   // fell back to optimistic
-  MetricsRegistry::Histogram sched_queue_wait_ns;
-  MetricsRegistry::Histogram sched_queue_depth;    // waiters seen at enqueue
-  MetricsRegistry::Gauge sched_hot_keys;           // keys currently serialized
+  MetricsRegistry::Gauge sched_hot_keys;           // tracked keys now hot
 
   // -- queue-oriented deterministic lane (src/queue) -----------------------
   MetricsRegistry::Counter queue_epochs;          // epochs planned

@@ -1,44 +1,35 @@
-// Contention-aware transaction scheduler: hot-key conflict queues and
-// AIMD admission control (the queue-oriented transaction-processing idea —
-// Qadah's queue-oriented paradigm — applied in front of QR-DTM's optimistic
-// runtime).
+// Contention-aware transaction scheduler: hot-key tracking and AIMD
+// admission control in front of QR-DTM's optimistic runtime.
 //
 // The optimistic stack underneath is correct but wasteful under sustained
 // hot-key load: transactions whose footprints collide burn quorum
 // round-trips discovering at validation/commit time that they lost a race
-// they were always going to lose.  The scheduler uses two client-local
-// levers to spend those round-trips on transactions that can win:
+// they were always going to lose.  The scheduler keeps two client-local
+// pieces of state to spend those round-trips on transactions that can win:
 //
-//   * Conflict queues (policy kQueue): every transaction declares its
-//     predicted key footprint (acn::predicted_footprint — static analysis
-//     over the TxProgram's UnitGraph read-write sets).  Footprint keys that
-//     are currently *hot* — their class level in the dynamic monitor's
-//     contention snapshot crossed class_hot_level, or the key itself
-//     accumulated abort blame (every TxAbort names its invalidated keys) —
-//     are serialized through per-key FIFO ticket queues.  Tickets are
-//     acquired in canonical (ascending key) order, so two transactions can
-//     never hold-and-wait in opposite orders: no deadlock by construction.
-//     A per-key wait budget bounds the damage of a stalled ticket holder
-//     (e.g. one stuck behind a partition): on expiry the waiter abandons
-//     its tickets and falls back to plain optimistic execution.  FIFO
-//     service means no starvation among queuers.
+//   * Hotness: every transaction declares its predicted key footprint
+//     (acn::predicted_footprint — static analysis over the TxProgram's
+//     UnitGraph read-write sets).  A key is *hot* when it accumulated abort
+//     blame (every TxAbort names its invalidated keys; the score decays per
+//     tick) or its class level in the dynamic monitor's contention snapshot
+//     crossed class_hot_level.  Hybrid execution routes hot-footprint
+//     transactions to the deterministic epoch lane (src/queue), which
+//     orders them per key; the optimistic lane gates them by admission.
 //
-//   * Admission control (policy kAdmit): each client keeps an AIMD window
-//     W in [min_window, max_window] — its private estimate of how many
+//   * Admission control: each client keeps an AIMD window W in
+//     [min_window, max_window] — its private estimate of how many
 //     transactions the contended keyspace can run concurrently.  A client
-//     starts a transaction only while the global count of in-flight
-//     scheduled transactions is below its own W; clean commits grow W
-//     additively, full aborts (and, harder, lease-expired commits) shrink
-//     it multiplicatively.  This replaces randomized exponential backoff as
-//     the *first* line of defense: backoff reacts per-incident after the
+//     starts a hot-footprint transaction only while the global count of
+//     in-flight gated transactions is below its own W; clean commits grow W
+//     additively, full aborts (and, harder, lease-expired commits) shrink it
+//     multiplicatively.  This replaces randomized exponential backoff as the
+//     *first* line of defense: backoff reacts per-incident after the
 //     round-trips are spent, the window remembers overload across
 //     transactions and stops the race before it reaches the network.
 //     min_window >= 1 guarantees progress (an idle system admits anyone);
 //     an aging budget force-admits any waiter the window gated for too
-//     long, so no client starves behind luckier peers.
-//
-// kBoth composes the two: admission caps how many transactions run,
-// queues order the survivors that still collide.
+//     long, so no client starves behind luckier peers.  Cold traffic is
+//     never gated.
 //
 // One TxScheduler is shared by every client thread of a run; each thread
 // talks to it through its own Session, which implements acn::SchedulerGate
@@ -46,7 +37,6 @@
 // layering inversion).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -64,42 +54,29 @@
 namespace acn::sched {
 
 enum class SchedulerPolicy {
-  kNone,   // scheduler disabled (the pre-scheduler behavior)
-  kQueue,  // hot-key conflict queues only
-  kAdmit,  // AIMD admission window only
-  kBoth,   // admission first, then queues
+  kNone,  // scheduler disabled (the pre-scheduler behavior)
+  kBoth,  // hotness tracking plus AIMD admission
 };
 
 const char* policy_name(SchedulerPolicy policy) noexcept;
-/// Parse "none" | "queue" | "admit" | "both"; nullopt on anything else.
+/// Parse "none" | "both"; nullopt on anything else.
 std::optional<SchedulerPolicy> parse_policy(std::string_view text) noexcept;
 
 struct SchedulerConfig {
   SchedulerPolicy policy = SchedulerPolicy::kNone;
 
   // -- hot-key detection ---------------------------------------------------
-  /// A key whose abort-blame EWMA reaches this is serialized.  Blame is +1
-  /// per appearance in a TxAbort's invalid list, decayed by `decay` per
+  /// A key whose abort-blame EWMA reaches this is hot.  Blame is +1 per
+  /// appearance in a TxAbort's invalid list, decayed by `decay` per
   /// scheduler tick (one harness interval).
   double hot_score = 3.0;
   double decay = 0.5;
   /// A class at/above this level in the contention snapshot marks every
   /// footprint key of that class hot (the monitor refinement; 0 disables).
   std::uint64_t class_hot_level = 48;
-  /// Tracked-key cap; coldest idle entries are evicted beyond it.
+  /// Tracked-key cap: blame for a new key is dropped while the table is
+  /// full; tick() evicts entries that cooled off.
   std::size_t max_tracked_keys = 4096;
-
-  // -- conflict queues -----------------------------------------------------
-  /// Per-key ticket wait budget before abandoning the queue position and
-  /// running optimistically.
-  std::chrono::nanoseconds queue_wait_budget{std::chrono::milliseconds{10}};
-  /// Concurrent holders a hot-key queue admits (its service window).  1 is
-  /// strict serialization; 2-3 keeps commit rounds pipelined while still
-  /// capping the per-key racer count far below the client count.
-  int queue_width = 3;
-  /// Serialize only transactions that *write* the hot key.  Readers race
-  /// optimistically — writer-writer races are what burn the abort budget.
-  bool queue_writes_only = true;
 
   // -- AIMD admission window -----------------------------------------------
   /// Per-client window W: the client starts a transaction only while the
@@ -129,14 +106,11 @@ struct SchedulerConfig {
 };
 
 class TxScheduler {
-  struct KeyQueue;
-
  public:
   /// `n_clients` sessions are created up front; `seed` decorrelates the
   /// sessions' pacing jitter.  `obs` may be null (metrics off).
   TxScheduler(SchedulerConfig config, std::size_t n_clients,
               std::uint64_t seed = 1, obs::Observability* obs = nullptr);
-  ~TxScheduler();
 
   TxScheduler(const TxScheduler&) = delete;
   TxScheduler& operator=(const TxScheduler&) = delete;
@@ -162,28 +136,25 @@ class TxScheduler {
    private:
     friend class TxScheduler;
     TxScheduler* owner_ = nullptr;
-    std::size_t index_ = 0;
     Rng rng_{1};
-    double window_ = 1.0;          // AIMD state, touched under owner mutex
-    bool active_ = false;          // between admit() and finish()
-    bool gated_ = false;           // holds an admission slot (hot footprint)
-    std::vector<KeyQueue*> held_;  // tickets, in acquisition order
-    std::vector<std::uint64_t> tickets_;
+    double window_ = 1.0;  // AIMD state, touched under owner mutex
+    bool active_ = false;  // between admit() and finish()
+    bool gated_ = false;   // holds an admission slot (hot footprint)
   };
 
   Session& session(std::size_t client) { return *sessions_.at(client); }
   std::size_t sessions() const noexcept { return sessions_.size(); }
 
   /// Contention-snapshot refinement: classes at/above class_hot_level make
-  /// their footprint keys queue-eligible until the next call.  Aligned
-  /// vectors, same contract as the dynamic monitor's observe().
+  /// their footprint keys hot until the next call.  Aligned vectors, same
+  /// contract as the dynamic monitor's observe().
   void note_class_levels(const std::vector<ir::ClassId>& classes,
                          const std::vector<std::uint64_t>& levels);
 
-  /// Interval boundary: decay abort-blame scores and evict cold idle keys.
+  /// Interval boundary: decay abort-blame scores and evict cold keys.
   void tick();
 
-  /// Whether `key` would currently be serialized (tests / diagnostics).
+  /// Whether `key` is currently hot (tests / diagnostics).
   bool is_hot(const ir::ObjectKey& key) const;
   /// Every *tracked* key that is currently hot (score at/above hot_score,
   /// or its class marked hot by the contention snapshot).  Keys of a hot
@@ -195,47 +166,17 @@ class TxScheduler {
   /// Whether any footprint entry is currently hot (admission applies only
   /// to such transactions; cold traffic is never gated).
   bool any_hot(const KeyFootprint& footprint) const;
-  /// In-flight scheduled transactions (admitted, not finished).
+  /// In-flight gated transactions (admitted, not finished).
   std::size_t active() const noexcept;
 
   const SchedulerConfig& config() const noexcept { return config_; }
 
  private:
-  /// Per-hot-key FIFO ticket queue with a bounded service window: tickets
-  /// *start* in FIFO order, up to queue_width of them run concurrently.
-  /// Stable address (unique_ptr in the map); never destroyed while a waiter
-  /// or holder references it, which tick() guarantees by only evicting idle
-  /// queues.
-  struct KeyQueue {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::uint64_t next = 0;      // next ticket to hand out
-    std::uint64_t dispatch = 0;  // next ticket allowed to start
-    int holders = 0;             // tickets currently in the service window
-    /// Tickets whose waiters gave up (wait budget); dispatch skips them.
-    std::unordered_set<std::uint64_t> abandoned;
-    std::size_t waiters = 0;
-    /// Handed-out references (incremented under the scheduler's hot_mutex_,
-    /// decremented when the holder is done); tick() only evicts at zero.
-    /// A user decrements only after it has unlocked `mutex`, with release
-    /// order, and tick() loads with acquire: a zero it reads is then
-    /// ordered after every write of every former user, so destroying the
-    /// queue races with none of them.
-    std::atomic<int> users{0};
-  };
-
-  struct HotEntry {
-    double score = 0.0;
-    std::unique_ptr<KeyQueue> queue;
-  };
-
   void admission_wait(Session& session);
   void admission_update(Session& session, TxOutcome outcome);
-  void acquire_queues(Session& session, const KeyFootprint& footprint);
-  void release_queues(Session& session);
   void blame_keys(const std::vector<ir::ObjectKey>& conflict);
-  /// Advance `dispatch` past abandoned tickets; call with queue.mutex held.
-  static void advance_locked(KeyQueue& queue);
+  /// The one hot-key test; call with hot_mutex_ held.
+  bool hot_locked(const ir::ObjectKey& key) const;
 
   const SchedulerConfig config_;
   obs::Observability* const obs_;
@@ -246,9 +187,9 @@ class TxScheduler {
   std::condition_variable admit_cv_;
   std::size_t active_ = 0;
 
-  // Hot-key table: abort-blame scores, class-hot flags, ticket queues.
+  // Hot-key table: abort-blame scores and class-hot flags.
   mutable std::mutex hot_mutex_;
-  std::unordered_map<ir::ObjectKey, HotEntry, store::ObjectKeyHash> hot_;
+  std::unordered_map<ir::ObjectKey, double, store::ObjectKeyHash> scores_;
   std::unordered_set<ir::ClassId> hot_classes_;
 
   std::vector<std::unique_ptr<Session>> sessions_;

@@ -11,10 +11,8 @@ namespace acn::shard {
 CrossShardCoordinator::CrossShardCoordinator(harness::Cluster& cluster,
                                              const ShardRouter& router,
                                              int client_ordinal,
-                                             std::uint64_t seed,
-                                             std::string decision_log_path)
-    : router_(router),
-      decisions_(std::make_shared<DecisionLog>(std::move(decision_log_path))) {
+                                             std::uint64_t seed)
+    : router_(router), decisions_(std::make_shared<DecisionLog>()) {
   if (router_.map().n_shards() != cluster.n_groups())
     throw std::invalid_argument(
         "CrossShardCoordinator: shard map has " +
@@ -252,7 +250,7 @@ void ShardTx::commit_prepared() {
   if (state_ != State::kPrepared)
     throw std::logic_error("ShardTx::commit_prepared: nothing prepared");
 
-  // Durable decision record BEFORE the first phase-two message (multi-group
+  // Decision record BEFORE the first phase-two message (multi-group
   // only: a single prepared group installs or expires atomically on its
   // own).  From this point the transaction's outcome is commit no matter
   // what happens to this coordinator — an unreachable group becomes an
@@ -294,7 +292,7 @@ void ShardTx::commit_prepared() {
     } catch (const dtm::TxAbort& abort) {
       if (multi_group && abort.detail() != dtm::AbortDetail::kLeaseExpired) {
         // Unreachable after bounded retries, with the commit decision
-        // already durable: hand the push to cooperative termination.  The
+        // already recorded: hand the push to cooperative termination.  The
         // group's prepare parks in-doubt when its lease runs out and the
         // resolver installs from the decision record (or a sibling's
         // verdict), so the transaction still counts as committed.

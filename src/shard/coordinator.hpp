@@ -207,10 +207,9 @@ class CrossShardCoordinator final : public acn::ContextSource {
   /// mint the same TxId.  The constructor registers a DecisionQuery handler
   /// on that node answering from the coordinator's DecisionLog, so
   /// participants and resolvers can read decision records over the (faulty)
-  /// network; `decision_log_path` makes the records durable ("" = memory).
+  /// network.
   CrossShardCoordinator(harness::Cluster& cluster, const ShardRouter& router,
-                        int client_ordinal, std::uint64_t seed = 0,
-                        std::string decision_log_path = {});
+                        int client_ordinal, std::uint64_t seed = 0);
 
   /// Start a transaction; `predicted` seeds the route plan (pass
   /// acn::predicted_footprint output, or {} when nothing is predictable).

@@ -1,4 +1,4 @@
-// Durable coordinator decision records for cross-shard 2PC.
+// Coordinator decision records for cross-shard 2PC.
 //
 // The unreplicated coordinator is the single point whose crash can strand a
 // prepared group: once ANY participant has been told to commit, presumed
@@ -6,21 +6,15 @@
 // commit_prepared() records the decision (plus the exact phase-two push for
 // every participant group) BEFORE the first phase-two message leaves, so
 // the outcome of every transaction that might have partially installed is
-// recoverable:
+// recoverable.  The records live in memory: they survive the ShardTx and
+// even the CrossShardCoordinator object (the network handler holds the log
+// by shared_ptr), modelling a coordinator whose process is alive but whose
+// transaction handle is long gone.
 //
-//   * volatile mode (empty path): an in-memory map.  The record survives
-//     the ShardTx and even the CrossShardCoordinator object (the network
-//     handler holds the log by shared_ptr), modelling a coordinator whose
-//     process is alive but whose transaction handle is long gone;
-//   * durable mode: each record is additionally appended to a WAL-framed
-//     file (src/wal frame format) and replayed on construction, modelling
-//     a coordinator that restarts from disk.
-//
-// Both modes keep a commit record's pushes in one representation: the
-// bytes the file carries, each push a length-prefixed wire-encoded
-// CommitRequest, in one allocation per record.  The log keeps every
-// decision, so its size grows with cross-shard commits; pushes are decoded
-// only on the rare in-doubt path (push_for, answer).
+// A commit record keeps its pushes as bytes, each push a length-prefixed
+// wire-encoded CommitRequest, in one allocation per record.  The log keeps
+// every decision, so its size grows with cross-shard commits; pushes are
+// decoded only on the rare in-doubt path (push_for, answer).
 //
 // A coordinator registers a DecisionQuery handler on its client node that
 // answers from this log, so in-doubt participants (and the harness
@@ -36,10 +30,8 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -51,18 +43,12 @@ enum class Decision : std::uint8_t { kCommit = 1, kAbort = 2 };
 
 class DecisionLog {
  public:
-  /// `path`: append-only decision file; empty keeps the records in memory
-  /// only.  An existing file is replayed (torn tails dropped, same rules as
-  /// WAL segments) and a torn tail is cut off before new records follow.
-  explicit DecisionLog(std::string path = {});
-  ~DecisionLog();
-
+  DecisionLog() = default;
   DecisionLog(const DecisionLog&) = delete;
   DecisionLog& operator=(const DecisionLog&) = delete;
 
   /// Record the commit decision and the per-group phase-two pushes.  Must
-  /// happen-before any phase-two send; returns once the record is appended
-  /// (and flushed, in durable mode).  Returns false — and records NOTHING —
+  /// happen-before any phase-two send.  Returns false — and records NOTHING —
   /// when the transaction's outcome is already sealed as abort (an explicit
   /// record_abort, or answer() having served presumed abort to a querier):
   /// a zombie coordinator deciding commit after its prepares were resolved
@@ -98,13 +84,9 @@ class DecisionLog {
   /// The stored push for `group` in `entry`, decoded.
   static std::optional<dtm::CommitRequest> find_push(const Entry& entry,
                                                      std::uint32_t group);
-  void append_locked(dtm::TxId tx, const Entry& entry);
-  void replay_locked();
 
-  std::string path_;
   mutable std::mutex mutex_;
   std::unordered_map<dtm::TxId, Entry> entries_;
-  std::FILE* file_ = nullptr;
 };
 
 }  // namespace acn::shard

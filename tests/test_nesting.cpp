@@ -7,6 +7,7 @@
 
 #include "src/harness/cluster.hpp"
 #include "src/nesting/transaction.hpp"
+#include "src/obs/obs.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace acn::nesting {
@@ -43,10 +44,13 @@ class NestingTest : public ::testing::Test {
 TEST_F(NestingTest, ReadCachesAndCountsStats) {
   auto stub = cluster_.make_stub(0);
   Transaction txn(stub, next_tx_id());
+  obs::Observability bundle;
+  txn.set_obs(&bundle);
   EXPECT_EQ(txn.read(kA), Record{10});
   EXPECT_EQ(txn.read(kA), Record{10});
-  EXPECT_EQ(txn.stats().remote_reads, 1u);
-  EXPECT_EQ(txn.stats().cached_reads, 1u);
+  const auto snap = bundle.metrics.snapshot();
+  EXPECT_EQ(snap.counter("nesting.read.remote"), 1u);
+  EXPECT_EQ(snap.counter("nesting.read.cached"), 1u);
 }
 
 TEST_F(NestingTest, WriteRequiresPriorRead) {
@@ -68,11 +72,13 @@ TEST_F(NestingTest, ReadYourOwnWrites) {
 TEST_F(NestingTest, NestedFrameSeesParentState) {
   auto stub = cluster_.make_stub(0);
   Transaction txn(stub, next_tx_id());
+  obs::Observability bundle;
+  txn.set_obs(&bundle);
   txn.read(kA);
   txn.write(kA, Record{42});
   txn.begin_nested();
   EXPECT_EQ(txn.read(kA), Record{42});  // parent write visible, no RPC
-  EXPECT_EQ(txn.stats().remote_reads, 1u);
+  EXPECT_EQ(bundle.metrics.snapshot().counter("nesting.read.remote"), 1u);
   txn.commit_nested();
 }
 

@@ -559,7 +559,7 @@ TEST(ClientLane, HybridRoutesBySchedulerHotness) {
   cluster.flush_seeds();
 
   sched::SchedulerConfig sched_config;
-  sched_config.policy = sched::SchedulerPolicy::kQueue;
+  sched_config.policy = sched::SchedulerPolicy::kBoth;
   sched_config.class_hot_level = 0;  // abort-blame hotness only
   sched::TxScheduler scheduler(sched_config, 1);
   // Heat key {1,5} through the public interface: three blamed aborts

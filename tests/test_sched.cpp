@@ -1,15 +1,11 @@
 // Contention-aware scheduler tests (src/sched): footprint prediction, the
 // AIMD admission window, hot-key detection (abort blame + contention-class
-// refinement), conflict-queue serialization with its service window,
-// wait-budget fallback and abandoned-ticket skip, anti-starvation aging,
-// and an end-to-end QR-ACN run with the scheduler engaged.
+// refinement) and eviction, anti-starvation aging, and an end-to-end
+// QR-ACN run with the scheduler engaged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/acn/footprint.hpp"
@@ -38,9 +34,9 @@ KeyFootprint writes(std::vector<ObjectKey> keys) {
   return footprint;
 }
 
-SchedulerConfig base_config(SchedulerPolicy policy) {
+SchedulerConfig base_config() {
   SchedulerConfig config;
-  config.policy = policy;
+  config.policy = SchedulerPolicy::kBoth;
   config.class_hot_level = 0;  // abort-blame hotness only (deterministic)
   return config;
 }
@@ -56,13 +52,13 @@ void heat(TxScheduler& scheduler, std::size_t session, const ObjectKey& key) {
 }
 
 TEST(SchedPolicy, ParseAndNameRoundTrip) {
-  for (const auto policy :
-       {SchedulerPolicy::kNone, SchedulerPolicy::kQueue, SchedulerPolicy::kAdmit,
-        SchedulerPolicy::kBoth}) {
+  for (const auto policy : {SchedulerPolicy::kNone, SchedulerPolicy::kBoth}) {
     const auto parsed = parse_policy(policy_name(policy));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, policy);
   }
+  EXPECT_FALSE(parse_policy("queue").has_value());
+  EXPECT_FALSE(parse_policy("admit").has_value());
   EXPECT_FALSE(parse_policy("bogus").has_value());
   EXPECT_FALSE(parse_policy("").has_value());
 }
@@ -99,7 +95,7 @@ TEST(SchedFootprint, PredictsParamOnlyKeysWithWriteIntent) {
 }
 
 TEST(SchedAimd, WindowGrowsOnCommitShrinksOnAbort) {
-  TxScheduler scheduler(base_config(SchedulerPolicy::kAdmit), 1);
+  TxScheduler scheduler(base_config(), 1);
   auto& gate = scheduler.session(0);
   const auto& config = scheduler.config();
   EXPECT_DOUBLE_EQ(gate.window(), config.initial_window);
@@ -116,7 +112,7 @@ TEST(SchedAimd, WindowGrowsOnCommitShrinksOnAbort) {
 }
 
 TEST(SchedAimd, WindowClampsToConfiguredRange) {
-  TxScheduler scheduler(base_config(SchedulerPolicy::kAdmit), 1);
+  TxScheduler scheduler(base_config(), 1);
   auto& gate = scheduler.session(0);
   const auto& config = scheduler.config();
 
@@ -133,7 +129,7 @@ TEST(SchedAimd, WindowClampsToConfiguredRange) {
 }
 
 TEST(SchedAimd, LeaseExpiredShrinksTwiceAsHard) {
-  TxScheduler scheduler(base_config(SchedulerPolicy::kAdmit), 1);
+  TxScheduler scheduler(base_config(), 1);
   auto& gate = scheduler.session(0);
   const auto& config = scheduler.config();
   gate.admit({});
@@ -146,7 +142,7 @@ TEST(SchedAimd, LeaseExpiredShrinksTwiceAsHard) {
 }
 
 TEST(SchedHotKeys, BlameAccumulatesAndDecays) {
-  TxScheduler scheduler(base_config(SchedulerPolicy::kQueue), 2);
+  TxScheduler scheduler(base_config(), 2);
   EXPECT_FALSE(scheduler.is_hot(kHot));
   heat(scheduler, 0, kHot);
   EXPECT_TRUE(scheduler.is_hot(kHot));
@@ -163,7 +159,7 @@ TEST(SchedHotKeys, BlameAccumulatesAndDecays) {
 }
 
 TEST(SchedHotKeys, ClassSnapshotRefinementToleratesStaleData) {
-  auto config = base_config(SchedulerPolicy::kQueue);
+  auto config = base_config();
   config.class_hot_level = 48;
   TxScheduler scheduler(config, 1);
 
@@ -192,7 +188,7 @@ void blame_n(TxScheduler& scheduler, std::size_t session, const ObjectKey& key,
 }
 
 TEST(SchedHotKeys, HotKeysListsExactlyTheHotTrackedKeys) {
-  TxScheduler scheduler(base_config(SchedulerPolicy::kQueue), 1);
+  TxScheduler scheduler(base_config(), 1);
   EXPECT_TRUE(scheduler.hot_keys().empty());
 
   // Score exactly at hot_score (3 blames x 1.0 vs the default 3.0) IS hot
@@ -207,7 +203,7 @@ TEST(SchedHotKeys, HotKeysListsExactlyTheHotTrackedKeys) {
 }
 
 TEST(SchedHotKeys, HotKeysTracksDecayAcrossTheThresholdBoundary) {
-  TxScheduler scheduler(base_config(SchedulerPolicy::kQueue), 1);
+  TxScheduler scheduler(base_config(), 1);
 
   // 4.0 decays to 2.0: below the 3.0 threshold after one tick.
   blame_n(scheduler, 0, kHot, 4);
@@ -225,7 +221,7 @@ TEST(SchedHotKeys, HotKeysTracksDecayAcrossTheThresholdBoundary) {
 }
 
 TEST(SchedHotKeys, HotKeysListsOnlyTrackedKeysOfHotClasses) {
-  auto config = base_config(SchedulerPolicy::kQueue);
+  auto config = base_config();
   config.class_hot_level = 48;
   TxScheduler scheduler(config, 1);
 
@@ -249,133 +245,34 @@ TEST(SchedHotKeys, HotKeysListsOnlyTrackedKeysOfHotClasses) {
   EXPECT_FALSE(scheduler.is_hot(kCold));
 }
 
-TEST(SchedQueue, WidthOneSerializesHotWriters) {
-  auto config = base_config(SchedulerPolicy::kQueue);
-  config.queue_width = 1;
-  config.queue_wait_budget = std::chrono::seconds{5};
-  const std::size_t kThreads = 4;
-  TxScheduler scheduler(config, kThreads + 1);
-  heat(scheduler, kThreads, kHot);
-  heat(scheduler, kThreads, kHot2);
+TEST(SchedHotKeys, CooledKeysAreEvictedAndTheTableRefills) {
+  auto config = base_config();
+  config.max_tracked_keys = 2;
+  TxScheduler scheduler(config, 1);
+  heat(scheduler, 0, kHot);
+  heat(scheduler, 0, kHot2);
 
-  std::atomic<int> in_section{0};
-  std::atomic<int> max_seen{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      auto& gate = scheduler.session(t);
-      for (int i = 0; i < 25; ++i) {
-        gate.admit(writes({kHot, kHot2}));  // both hot: canonical-order tickets
-        const int now = in_section.fetch_add(1) + 1;
-        int prev = max_seen.load();
-        while (prev < now && !max_seen.compare_exchange_weak(prev, now)) {
-        }
-        in_section.fetch_sub(1);
-        gate.finish(TxOutcome::kCommitted);
-      }
-    });
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(max_seen.load(), 1);  // strict mutual exclusion on the hot pair
-  EXPECT_EQ(scheduler.active(), 0u);
-}
+  // The table is full: blame for a third key is dropped.
+  blame_n(scheduler, 0, kCold, 3);
+  EXPECT_FALSE(scheduler.is_hot(kCold));
 
-TEST(SchedQueue, ServiceWindowBoundsConcurrentHolders) {
-  auto config = base_config(SchedulerPolicy::kQueue);
-  config.queue_width = 3;
-  config.queue_wait_budget = std::chrono::seconds{5};
-  const std::size_t kThreads = 6;
-  TxScheduler scheduler(config, kThreads + 1);
-  heat(scheduler, kThreads, kHot);
+  // 3.0 decays to 0.375 in three ticks: cooled, but still tracked.
+  for (int i = 0; i < 3; ++i) scheduler.tick();
+  blame_n(scheduler, 0, kCold, 3);
+  EXPECT_FALSE(scheduler.is_hot(kCold));
 
-  std::atomic<int> in_section{0};
-  std::atomic<int> max_seen{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      auto& gate = scheduler.session(t);
-      for (int i = 0; i < 25; ++i) {
-        gate.admit(writes({kHot}));
-        const int now = in_section.fetch_add(1) + 1;
-        int prev = max_seen.load();
-        while (prev < now && !max_seen.compare_exchange_weak(prev, now)) {
-        }
-        std::this_thread::yield();
-        in_section.fetch_sub(1);
-        gate.finish(TxOutcome::kCommitted);
-      }
-    });
-  for (auto& thread : threads) thread.join();
-  EXPECT_LE(max_seen.load(), 3);
-}
+  // The fourth tick takes both scores to 0.1875, below the 0.25 eviction
+  // floor.
+  scheduler.tick();
 
-TEST(SchedQueue, TicketsStartInFifoOrder) {
-  auto config = base_config(SchedulerPolicy::kQueue);
-  config.queue_width = 1;
-  config.queue_wait_budget = std::chrono::seconds{5};
-  TxScheduler scheduler(config, 4);
-  heat(scheduler, 3, kHot);
-
-  auto& first = scheduler.session(0);
-  first.admit(writes({kHot}));  // holds the hot key
-
-  std::mutex mutex;
-  std::vector<int> order;
-  const auto queuer = [&](std::size_t session, int id) {
-    auto& gate = scheduler.session(session);
-    gate.admit(writes({kHot}));
-    {
-      std::lock_guard lock(mutex);
-      order.push_back(id);
-    }
-    gate.finish(TxOutcome::kCommitted);
-  };
-  std::thread second(queuer, 1, 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds{50});
-  std::thread third(queuer, 2, 2);
-  std::this_thread::sleep_for(std::chrono::milliseconds{50});
-
-  first.finish(TxOutcome::kCommitted);
-  second.join();
-  third.join();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // ticket order, not luck
-}
-
-TEST(SchedQueue, WaitBudgetFallsBackAndAbandonedTicketIsSkipped) {
-  obs::Observability obs;
-  auto config = base_config(SchedulerPolicy::kQueue);
-  config.queue_width = 1;
-  config.queue_wait_budget = std::chrono::milliseconds{20};
-  TxScheduler scheduler(config, 4, /*seed=*/1, &obs);
-  heat(scheduler, 3, kHot);
-
-  auto& first = scheduler.session(0);
-  first.admit(writes({kHot}));  // holds the hot key and stalls
-
-  // The second queuer blows its wait budget and falls back to optimistic
-  // execution without the holder ever releasing.
-  std::thread second([&] {
-    auto& gate = scheduler.session(1);
-    gate.admit(writes({kHot}));
-    gate.finish(TxOutcome::kValidation);
-  });
-  second.join();
-  EXPECT_GE(obs.metrics.snapshot().counter("sched.queue.timeouts"), 1u);
-
-  // Its abandoned ticket must not wedge the queue: once the holder leaves,
-  // a later ticket dispatches straight past it.
-  std::thread third([&] {
-    auto& gate = scheduler.session(2);
-    gate.admit(writes({kHot}));
-    gate.finish(TxOutcome::kCommitted);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  first.finish(TxOutcome::kCommitted);
-  third.join();  // completing at all is the assertion (no deadlock)
+  // Both slots are free again, so the third key's blame now sticks.
+  blame_n(scheduler, 0, kCold, 3);
+  EXPECT_TRUE(scheduler.is_hot(kCold));
 }
 
 TEST(SchedAimd, AgingAdmitsGatedWaiter) {
   obs::Observability obs;
-  auto config = base_config(SchedulerPolicy::kAdmit);
+  auto config = base_config();
   config.class_hot_level = 48;
   config.initial_window = 0.5;  // admits one, gates the second
   config.min_window = 0.5;
@@ -401,7 +298,7 @@ TEST(SchedAimd, AgingAdmitsGatedWaiter) {
 }
 
 TEST(SchedAimd, ColdTrafficIsNeverGated) {
-  auto config = base_config(SchedulerPolicy::kBoth);
+  auto config = base_config();
   config.initial_window = 0.5;  // would gate everything if applied
   config.min_window = 0.5;
   TxScheduler scheduler(config, 3);
