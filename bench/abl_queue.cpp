@@ -9,8 +9,8 @@
 // requires the queue run to commit at least as much as the scheduled
 // optimistic baseline with near-zero full aborts — intra-epoch conflicts
 // are queue order, and sequential epochs cannot race each other.  The
-// queue mode is additionally swept over --epoch-max (the planner's cut
-// size) to chart the epoch-size curve.
+// queue mode is additionally swept over --epoch-max (the largest epoch
+// the planner cuts) to chart the epoch-size curve.
 //
 // Phase B — hybrid state equality.  A fixed, commutative transfer list
 // (unconditional amount-1 moves, so any commit order yields one final

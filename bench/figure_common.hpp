@@ -43,8 +43,10 @@
 //                        every predictable transaction through the epoch
 //                        lane; hybrid routes by scheduler hotness (pair it
 //                        with --sched=both so hotness is tracked)
-//   --epoch-max=N        planner epoch cut size (transactions per epoch)
-//   --epoch-wait-us=N    how long the planner holds an epoch open to fill
+//   --epoch-max=N        largest epoch (transactions per epoch)
+//   --epoch-wait-us=N    longest the planner holds an epoch open to fill;
+//                        an epoch is cut sooner, once the clients the last
+//                        one released are back
 //   --executors=N        queue executor threads draining an epoch
 // Observability (both --flag=FILE and --flag FILE forms):
 //   --trace FILE         Chrome-trace/Perfetto JSON of the runs

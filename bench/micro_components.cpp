@@ -61,10 +61,20 @@ void BM_StoreProtectUnprotect(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreProtectUnprotect);
 
+// One committed write as dtm::Server::on_commit counts it: read the window,
+// install and count the key in its store entry, raise the class maximum.
 void BM_ContentionBump(benchmark::State& state) {
+  store::VersionedStore s;
   store::ContentionTracker tracker;
+  const store::Record value{1};
+  for (std::uint64_t i = 0; i < 64; ++i) s.seed({1, i}, value);
   std::uint64_t i = 0;
-  for (auto _ : state) tracker.on_write({1, i++ % 64}, 0);
+  for (auto _ : state) {
+    const std::uint32_t window = tracker.window(0);
+    const store::ObjectKey key{1, i++ % 64};
+    tracker.note(window, key.cls,
+                 s.apply_counted(key, value, 1, store::kNoTx, window));
+  }
 }
 BENCHMARK(BM_ContentionBump);
 

@@ -1,6 +1,7 @@
 #include "src/dtm/server.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/clock.hpp"
 
@@ -129,6 +130,7 @@ std::size_t Server::indoubt_count() const {
 
 void Server::reset_volatile_state() {
   store_.clear();
+  contention_.reset();
   std::lock_guard<std::mutex> guard(lease_mutex_);
   leases_.clear();
   expired_.clear();
@@ -152,17 +154,17 @@ void Server::install_recovered(
   }
 }
 
-void Server::record_lease(const OpenPrepare& prepare, std::uint64_t now) {
+void Server::record_lease(OpenPrepare prepare, std::uint64_t now) {
   std::lock_guard<std::mutex> guard(lease_mutex_);
   // A fresh prepare supersedes any earlier presumed abort of the same tx:
   // the client went through its own abort/retry and re-acquired protection.
   expired_.erase(prepare.tx);
   indoubt_.erase(prepare.tx);
   Lease& lease = leases_[prepare.tx];
-  lease.keys = prepare.keys;
-  lease.participants = prepare.participants;
+  lease.keys = std::move(prepare.keys);
+  lease.participants = std::move(prepare.participants);
   lease.coordinator = prepare.coordinator;
-  lease.values = prepare.values;
+  lease.values = std::move(prepare.values);
   if (lease_ns_ > 0) {
     lease.deadline_ns = now + static_cast<std::uint64_t>(lease_ns_);
     std::uint64_t prev = next_expiry_ns_.load(std::memory_order_relaxed);
@@ -388,18 +390,30 @@ CommitResponse Server::on_commit(const CommitRequest& req) {
     if (obs_ != nullptr) obs_->indoubt_resolved_commit.add();
   }
 
-  const std::uint64_t now = now_ns();
-  for (std::size_t i = 0; i < req.keys.size(); ++i) {
-    // apply() is version-guarded, so re-installing on a replay is a no-op;
-    // the contention bump must not double-count, hence the replay gate.
-    store_.apply(req.keys[i], req.values[i], req.versions[i], req.tx);
-    if (!replay) contention_.on_write(req.keys[i], now);
-  }
   if (replay) {
+    // apply() is version-guarded, so re-installing on a replay is a no-op,
+    // and it is not counted: the first delivery already counted the writes.
+    for (std::size_t i = 0; i < req.keys.size(); ++i)
+      store_.apply(req.keys[i], req.values[i], req.versions[i], req.tx);
     // Only the local stat: the sender already counted the replay round into
     // obs (rpc.commit.replayed), so bumping here would double-count.
     stats_.commit_replays.fetch_add(1, std::memory_order_relaxed);
     return CommitResponse{CommitCode::kDuplicate};
+  }
+
+  // Each key is installed and counted in one store lookup.  Keys arrive
+  // sorted, so a class's keys are adjacent and each run raises its class
+  // maximum once, with the run's highest count.
+  const std::uint32_t window = contention_.window(now_ns());
+  std::uint32_t hottest = 0;
+  for (std::size_t i = 0; i < req.keys.size(); ++i) {
+    hottest = std::max(hottest,
+                       store_.apply_counted(req.keys[i], req.values[i],
+                                            req.versions[i], req.tx, window));
+    if (i + 1 == req.keys.size() || req.keys[i + 1].cls != req.keys[i].cls) {
+      contention_.note(window, req.keys[i].cls, hottest);
+      hottest = 0;
+    }
   }
 
   if (durability_ != nullptr) {

@@ -1,7 +1,11 @@
 // Quorum server node.
 //
 // A server holds one full replica (VersionedStore), tracks write contention
-// per window (ContentionTracker), and services the six QR-DTM request kinds.
+// per window, and services the six QR-DTM request kinds.  A commit installs
+// and counts each key in one store lookup: the per-object write counts live
+// in the store entries, and the ContentionTracker keeps the window clock and
+// the per-class maxima that contention queries read.  Phase-two replays are
+// not counted.
 // Handlers run on the calling client thread (see net::Network) and rely on
 // the store's internal sharded locking for mutual exclusion, so a server is
 // safe under any number of concurrent clients.
@@ -123,8 +127,9 @@ class Server {
   std::vector<OpenPrepare> open_prepares() const;
 
   /// Simulated crash: drop everything a real process death would lose —
-  /// the store, the leases, and the presumed-abort/idempotency memories.
-  /// (The contention tracker resets too; it is advisory and refills.)
+  /// the store with its per-object write counts, the class contention
+  /// levels, the leases, and the presumed-abort/idempotency memories.  The
+  /// contention levels are advisory and refill as the window rolls.
   void reset_volatile_state();
 
   /// Install recovered state: seed the committed objects, then re-arm each
@@ -155,8 +160,9 @@ class Server {
   std::vector<ObjectKey> failed_checks(const std::vector<VersionCheck>& checks,
                                        TxId self, bool& busy) const;
 
-  // Lease bookkeeping (requires lease_mutex_).
-  void record_lease(const OpenPrepare& prepare, std::uint64_t now);
+  // Lease bookkeeping (takes lease_mutex_).  The prepare's vectors move
+  // into the lease.
+  void record_lease(OpenPrepare prepare, std::uint64_t now);
 
   struct Lease {
     std::vector<ObjectKey> keys;

@@ -87,7 +87,8 @@ class Network final : public Transport<Req, Res> {
     std::lock_guard lock(handler_mutex_);
     if (static_cast<std::size_t>(id) >= handlers_.size())
       handlers_.resize(static_cast<std::size_t>(id) + 1);
-    handlers_[static_cast<std::size_t>(id)] = guarded(std::move(handler));
+    handlers_[static_cast<std::size_t>(id)] =
+        std::make_unique<const Handler>(guarded(std::move(handler)));
     this->faults_.set_node_down(id, false);
   }
 
@@ -227,14 +228,16 @@ class Network final : public Transport<Req, Res> {
   /// `to`'s handler, or null when no node registered that id.
   const Handler* handler_of(NodeId to) const noexcept {
     const auto idx = static_cast<std::size_t>(to);
-    return idx < handlers_.size() && handlers_[idx] ? &handlers_[idx]
-                                                    : nullptr;
+    return idx < handlers_.size() ? handlers_[idx].get() : nullptr;
   }
 
   std::shared_ptr<const LatencyModel> latency_;
   // Held by register_node / set_node_down / node_down, never per message.
   mutable std::mutex handler_mutex_;
-  std::vector<Handler> handlers_;
+  // Indexed by node id.  Ids are sparse (an epoch lane's coordinator sits
+  // at n + 0x5EE0), so an unregistered id costs one null pointer, not an
+  // empty std::function.
+  std::vector<std::unique_ptr<const Handler>> handlers_;
   NetStats stats_;
 };
 

@@ -90,17 +90,24 @@ shard::LaneOutcome EpochService::submit(const ir::TxProgram& program,
 void EpochService::planner_loop() {
   tighten_timer_slack();  // epoch_wait is a timed wait of ~200 us
   std::unique_lock<std::mutex> lock(mu_);
+  // How many pending submissions cut the next epoch: the submitters the
+  // last epoch released plus those already pending when it did.  A
+  // closed-loop client resubmits once released, so when that many are back
+  // nothing else is coming; epoch_wait only bounds the wait for one that
+  // went elsewhere.  The first epoch has no such count and fills to
+  // epoch_max.
+  std::size_t expected = config_.epoch_max;
   for (;;) {
     submit_cv_.wait(lock, [&] {
       return stop_.load(std::memory_order_relaxed) || !pending_.empty();
     });
     if (stop_.load(std::memory_order_relaxed)) break;
-    // Let the epoch fill: cut at epoch_max, or when the wait expires with
-    // whatever arrived.
+    // Let the epoch fill: cut once `expected` (at most epoch_max) are
+    // pending, or when the wait expires with whatever arrived.
+    const std::size_t cut = std::min(expected, config_.epoch_max);
     const auto deadline = std::chrono::steady_clock::now() + config_.epoch_wait;
     submit_cv_.wait_until(lock, deadline, [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             pending_.size() >= config_.epoch_max;
+      return stop_.load(std::memory_order_relaxed) || pending_.size() >= cut;
     });
     if (stop_.load(std::memory_order_relaxed)) break;
 
@@ -113,6 +120,7 @@ void EpochService::planner_loop() {
     run_one_epoch(batch);
     lock.lock();
     for (Submission* s : batch) s->done = true;
+    expected = batch.size() + pending_.size();
     done_cv_.notify_all();
   }
   // Drain on stop: everything still pending demotes (submit() reruns it

@@ -25,7 +25,10 @@
 //
 // Submitters block in submit() until their epoch decides; the driver's
 // client threads thus pace themselves to the epoch cadence, which is the
-// paradigm's batching discipline (QueCC's "plan, then execute").
+// paradigm's batching discipline (QueCC's "plan, then execute").  The
+// planner cuts the next epoch once the submitters the last one released
+// are back (see QueueConfig::epoch_max), so a closed loop batches without
+// idling out epoch_wait.
 #pragma once
 
 #include <atomic>
@@ -48,13 +51,16 @@
 namespace acn::queue {
 
 struct QueueConfig {
-  /// Epoch cut size: the planner closes an epoch when this many
-  /// transactions are pending (or epoch_wait elapsed with at least one).
+  /// Largest epoch.  The planner closes an epoch once as many transactions
+  /// are pending as the previous epoch released plus those already pending
+  /// when it did, capped at epoch_max (the first epoch waits for epoch_max),
+  /// or when epoch_wait elapsed with at least one.
   std::size_t epoch_max = 128;
   /// How long the planner waits for the epoch to fill after the first
-  /// pending submission.  The effective epoch size under a closed-loop
-  /// driver is ~n_clients: every client blocks in submit(), so waiting
-  /// longer than their resubmission jitter buys nothing.
+  /// pending submission.  Under a closed-loop driver every client blocks in
+  /// submit(), so the epoch size is ~n_clients and the cut usually comes as
+  /// soon as the last released client is back; the wait then only bounds
+  /// how long an epoch waits for a client that submitted elsewhere.
   std::chrono::nanoseconds epoch_wait{std::chrono::microseconds{200}};
   /// Queue executor threads draining the ready entries of an epoch.
   std::size_t n_executors = 4;

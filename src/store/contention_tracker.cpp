@@ -12,27 +12,34 @@ ContentionTracker::ContentionTracker(std::int64_t window_ns)
         "ContentionTracker: negative window width (use 0 for manual rolling)");
 }
 
-void ContentionTracker::on_write(const ObjectKey& key, std::uint64_t now_ns) {
+std::uint32_t ContentionTracker::window(std::uint64_t now_ns) {
   std::lock_guard lock(mutex_);
-  if (window_ns_ > 0) {
-    if (window_start_ns_ == 0) window_start_ns_ = now_ns;
-    if (now_ns - window_start_ns_ >= static_cast<std::uint64_t>(window_ns_)) {
-      roll_locked();
-      window_start_ns_ = now_ns;
-    }
-  }
-  const std::uint64_t count = ++current_[key];
-  auto& class_max = current_by_class_[key.cls];
-  class_max = std::max(class_max, count);
+  maybe_roll_locked(now_ns);
+  return window_;
+}
+
+void ContentionTracker::note(std::uint32_t window, ClassId cls,
+                             std::uint32_t writes) {
+  if (writes == 0) return;
+  std::lock_guard lock(mutex_);
+  std::uint64_t* class_max = nullptr;
+  if (window == window_)
+    class_max = &current_by_class_[cls];
+  else if (window + 1 == window_)
+    class_max = &last_by_class_[cls];
+  else
+    return;
+  *class_max = std::max<std::uint64_t>(*class_max, writes);
 }
 
 void ContentionTracker::maybe_roll(std::uint64_t now_ns) {
   std::lock_guard lock(mutex_);
+  maybe_roll_locked(now_ns);
+}
+
+void ContentionTracker::maybe_roll_locked(std::uint64_t now_ns) {
   if (window_ns_ <= 0) return;
-  if (window_start_ns_ == 0) {
-    window_start_ns_ = now_ns;
-    return;
-  }
+  if (window_start_ns_ == 0) window_start_ns_ = now_ns;
   if (now_ns - window_start_ns_ >= static_cast<std::uint64_t>(window_ns_)) {
     roll_locked();
     window_start_ns_ = now_ns;
@@ -45,16 +52,15 @@ void ContentionTracker::roll() {
 }
 
 void ContentionTracker::roll_locked() {
-  last_ = std::move(current_);
-  current_.clear();
+  ++window_;
   last_by_class_ = std::move(current_by_class_);
   current_by_class_.clear();
 }
 
-std::uint64_t ContentionTracker::level(const ObjectKey& key) const {
+void ContentionTracker::reset() {
   std::lock_guard lock(mutex_);
-  const auto it = last_.find(key);
-  return it == last_.end() ? 0 : it->second;
+  current_by_class_.clear();
+  last_by_class_.clear();
 }
 
 std::uint64_t ContentionTracker::class_level(ClassId cls) const {

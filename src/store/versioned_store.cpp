@@ -63,11 +63,8 @@ void VersionedStore::unprotect(const ObjectKey& key, TxId tx) {
     shard.map.erase(it);
 }
 
-bool VersionedStore::apply(const ObjectKey& key, const Record& value,
-                           Version version, TxId tx) {
-  auto& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  auto& entry = shard.map[key];
+bool VersionedStore::install(Entry& entry, const Record& value,
+                             Version version, TxId tx) {
   const bool advanced = version > entry.version;
   if (advanced) {
     entry.value = value;
@@ -75,6 +72,37 @@ bool VersionedStore::apply(const ObjectKey& key, const Record& value,
   }
   if (entry.protected_by == tx) entry.protected_by = kNoTx;
   return advanced;
+}
+
+bool VersionedStore::apply(const ObjectKey& key, const Record& value,
+                           Version version, TxId tx) {
+  auto& shard = shard_for(key);
+  std::lock_guard lock(shard.mutex);
+  return install(shard.map[key], value, version, tx);
+}
+
+std::uint32_t VersionedStore::apply_counted(const ObjectKey& key,
+                                            const Record& value,
+                                            Version version, TxId tx,
+                                            std::uint32_t window) {
+  auto& shard = shard_for(key);
+  std::lock_guard lock(shard.mutex);
+  Entry& entry = shard.map[key];
+  install(entry, value, version, tx);
+  if (window > entry.window) {
+    entry.window = window;
+    entry.writes = 0;
+  }
+  return window == entry.window ? ++entry.writes : 0;
+}
+
+std::uint32_t VersionedStore::writes(const ObjectKey& key,
+                                     std::uint32_t window) const {
+  const auto& shard = shard_for(key);
+  std::lock_guard lock(shard.mutex);
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end() || it->second.window != window) return 0;
+  return it->second.writes;
 }
 
 std::size_t VersionedStore::object_count() const {

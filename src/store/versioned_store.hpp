@@ -5,6 +5,10 @@
 //   * a version number, checked during (incremental) validation, and
 //   * a "protected" flag: while a committing transaction holds it, reads
 //     and competing protects fail until the commit completes.
+// It also carries its committed-write count for the Dynamic Module
+// (Section V-C2), tagged with the contention window it counts in: a commit
+// installs and counts a key in one lookup, and ContentionTracker numbers
+// the windows and keeps only the per-class maxima.
 // The store is sharded internally so concurrent clients contend only on
 // unrelated shards, not on one global lock.
 #pragma once
@@ -65,8 +69,23 @@ class VersionedStore {
   /// Install `value` at `version` and release `tx`'s protection.  Versions
   /// only move forward: an older version than the replica already holds is
   /// ignored (the replica was updated by a later-intersecting quorum).
-  /// Returns whether the version advanced.
+  /// Returns whether the version advanced.  Not counted as a write: seeding
+  /// and catch-up installs use it.
   bool apply(const ObjectKey& key, const Record& value, Version version, TxId tx);
+
+  /// apply() for a committed write, which also counts one write on `key`
+  /// in contention window `window` (>= 1) in the same lookup.  The count
+  /// restarts when `window` is newer than the one the object counts in; a
+  /// write from an older window (its caller read the window before a roll)
+  /// installs but is not counted, so it never rewinds a newer count.
+  /// Returns the object's writes in `window` after this one, or 0 when the
+  /// write was not counted.
+  std::uint32_t apply_counted(const ObjectKey& key, const Record& value,
+                              Version version, TxId tx, std::uint32_t window);
+
+  /// Writes counted on `key` in `window`: 0 when the object is absent or
+  /// counts in another window.
+  std::uint32_t writes(const ObjectKey& key, std::uint32_t window) const;
 
   std::size_t object_count() const;
 
@@ -88,9 +107,9 @@ class VersionedStore {
 
   static constexpr std::size_t shard_count() noexcept { return kShards; }
 
-  /// Drop every object and protection.  Models a replica losing its
-  /// volatile memory in a crash; what survives comes back through
-  /// recovery (durable log + snapshot) and peer catch-up.
+  /// Drop every object, protection and write count.  Models a replica
+  /// losing its volatile memory in a crash; what survives comes back
+  /// through recovery (durable log + snapshot) and peer catch-up.
   void clear();
 
  private:
@@ -98,7 +117,16 @@ class VersionedStore {
     Record value;
     Version version = 0;
     TxId protected_by = kNoTx;
+    // Committed writes in contention window `window` (0: never counted).
+    // The 8 bytes keep a hash node at 72 bytes, inside the 80-byte malloc
+    // chunk the 64-byte node already took.
+    std::uint32_t window = 0;
+    std::uint32_t writes = 0;
   };
+
+  /// apply()'s install, on an entry already looked up under its lock.
+  static bool install(Entry& entry, const Record& value, Version version,
+                      TxId tx);
 
   static constexpr std::size_t kShards = 16;
 

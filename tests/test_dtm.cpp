@@ -308,6 +308,22 @@ TEST(QuorumStub, CommitReplayIsIdempotent) {
   EXPECT_GT(replays, 0u);
 }
 
+TEST(QuorumStub, CommitReplayIsNotCountedAsContention) {
+  // A replayed phase two re-installs nothing (version guard) and must not
+  // count as a second write either: contention levels feed the Algorithm
+  // Module, and replays would inflate them under response-leg loss.
+  Cluster cluster(fast_config());
+  workloads::seed_all(cluster.servers(), kA, Record{1});
+  auto stub = cluster.make_stub(0);
+  const auto a = stub.read(1, kA, {});
+  const auto ticket =
+      stub.prepare(1, {{kA, a.record.version}}, {kA}, {a.record.version});
+  stub.commit(ticket, {Record{2}});
+  stub.commit(ticket, {Record{2}});  // full replay
+  cluster.roll_contention_windows();
+  EXPECT_EQ(stub.contention_levels({kA.cls}), (std::vector<std::uint64_t>{1}));
+}
+
 TEST(QuorumStub, CommitRetriesThroughResponseDrops) {
   // Lossy ack legs from the root: the client replays phase two until every
   // member acked, so the commit still lands on the full write quorum.
@@ -341,6 +357,21 @@ TEST(Server, StatsCountRequests) {
   EXPECT_GE(stats.reads.load(), 2u);
   EXPECT_EQ(stats.prepares.load(), 1u);
   EXPECT_EQ(stats.commits.load(), 1u);
+}
+
+TEST(Server, VolatileResetClearsContentionLevels) {
+  // A crash drops the store and with it every per-object write count, so
+  // the class levels computed from those counts go too.
+  Server server(0);
+  server.store().seed(kA, Record{1}, 1);
+  Request commit;
+  commit.payload = CommitRequest{7, {kA}, {Record{2}}, {2}};
+  ASSERT_EQ(std::get<CommitResponse>(server.handle(100, commit).payload).code,
+            CommitCode::kApplied);
+  server.roll_contention_window();
+  EXPECT_GT(server.contention().class_level(kA.cls), 0u);
+  server.reset_volatile_state();
+  EXPECT_EQ(server.contention().class_level(kA.cls), 0u);
 }
 
 TEST(Messages, ApproxSizesScaleWithPayload) {

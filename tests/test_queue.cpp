@@ -362,6 +362,45 @@ TEST(EpochService, SameKeyBatchSpeculatesInsideOneEpoch) {
   EXPECT_EQ(latest_sharded(cluster, map, {1, 5}).value.fields[0], 4);
 }
 
+TEST(EpochService, ClosedLoopEpochCutsWhenItsClientsAreBack) {
+  harness::Cluster cluster(fast_cluster(1));
+  const ShardMap map = range_map(1);
+  ShardRouter router(map);
+  seed_sharded(cluster, map, {1, 5}, Record{0, 0});
+  cluster.flush_seeds();
+
+  // Four closed-loop clients and an epoch_max far above them: the first
+  // epoch waits out epoch_wait, every later one is cut as soon as the four
+  // clients it released are pending again, so ten rounds take one wait.
+  QueueConfig config;
+  config.epoch_wait = std::chrono::milliseconds{500};
+  config.epoch_max = 128;
+  config.n_executors = 1;
+  EpochService service(cluster, router, config);
+
+  const auto program = increment_program();
+  const std::vector<Record> params{Record{5}};
+  const KeyFootprint predicted = predicted_footprint(program, params);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 10; ++i) {
+        acn::ExecStats es;
+        EXPECT_EQ(service.submit(program, params, predicted, es),
+                  shard::LaneOutcome::kCommitted);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(service.stats().epochs.load(), 10u);
+  EXPECT_EQ(service.stats().committed.load(), 40u);
+  EXPECT_LT(elapsed, 2 * config.epoch_wait);
+  EXPECT_EQ(latest_sharded(cluster, map, {1, 5}).value.fields[0], 40);
+}
+
 TEST(EpochService, MispredictionDemotesAndEpochStillCommitsTheRest) {
   harness::Cluster cluster(fast_cluster(1));
   const ShardMap map = range_map(1);

@@ -1,4 +1,5 @@
-// Unit tests for the versioned store and the windowed contention tracker.
+// Unit tests for the versioned store, its per-window write counts and the
+// windowed contention tracker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,25 +115,70 @@ TEST(VersionedStore, ConcurrentProtectExactlyOneWins) {
   EXPECT_EQ(winners.load(), 1);
 }
 
+TEST(VersionedStore, CountsCommittedWritesPerContentionWindow) {
+  VersionedStore s;
+  s.seed(kA, Record{1}, 1);  // seeding does not count
+  EXPECT_EQ(s.writes(kA, 0), 0u);
+  EXPECT_EQ(s.writes(kA, 1), 0u);
+  EXPECT_EQ(s.apply_counted(kA, Record{2}, 2, kNoTx, 1), 1u);
+  EXPECT_EQ(s.apply_counted(kA, Record{3}, 3, kNoTx, 1), 2u);
+  EXPECT_EQ(s.writes(kA, 1), 2u);
+  // A newer window restarts the count.
+  EXPECT_EQ(s.apply_counted(kA, Record{4}, 4, kNoTx, 3), 1u);
+  EXPECT_EQ(s.writes(kA, 1), 0u);
+  EXPECT_EQ(s.writes(kA, 3), 1u);
+  // An older window installs but never rewinds the newer count.
+  EXPECT_EQ(s.apply_counted(kA, Record{5}, 5, kNoTx, 2), 0u);
+  EXPECT_EQ(s.writes(kA, 2), 0u);
+  EXPECT_EQ(s.writes(kA, 3), 1u);
+  EXPECT_EQ(s.read(kA).record.value, Record{5});
+  // A plain apply (the kSeed control op's install) does not count.
+  EXPECT_TRUE(s.apply(kA, Record{6}, 6, kNoTx));
+  EXPECT_EQ(s.writes(kA, 3), 1u);
+  // Neither does a re-seed of a counted object, and an absent key has none.
+  s.seed(kA, Record{7}, 7);
+  EXPECT_EQ(s.writes(kA, 3), 1u);
+  EXPECT_EQ(s.writes(kB, 3), 0u);
+  // A counted commit releases its protection like apply().
+  ASSERT_TRUE(s.try_protect(kB, 100));
+  EXPECT_EQ(s.apply_counted(kB, Record{1}, 1, 100, 3), 1u);
+  EXPECT_EQ(s.read(kB).status, ReadStatus::kOk);
+}
+
+// One committed write on `key` at `now_ns`, counted the way
+// dtm::Server::on_commit counts it: in the key's store entry, under the
+// tracker's current window, raising the class maximum.
+void commit_write(VersionedStore& store, ContentionTracker& tracker,
+                  const ObjectKey& key, std::uint64_t now_ns = 0) {
+  const std::uint32_t window = tracker.window(now_ns);
+  tracker.note(window, key.cls,
+               store.apply_counted(key, Record{1}, 1, kNoTx, window));
+}
+
 TEST(ContentionTracker, LevelsComeFromLastCompletedWindow) {
+  VersionedStore store;
   ContentionTracker tracker;
-  tracker.on_write(kA, 0);
-  tracker.on_write(kA, 0);
-  tracker.on_write(kB, 0);
-  EXPECT_EQ(tracker.level(kA), 0u);  // window not rolled yet
+  const std::uint32_t first = tracker.window(0);
+  commit_write(store, tracker, kA);
+  commit_write(store, tracker, kA);
+  commit_write(store, tracker, kB);
+  EXPECT_EQ(tracker.class_level(kA.cls), 0u);  // window not rolled yet
   tracker.roll();
-  EXPECT_EQ(tracker.level(kA), 2u);
-  EXPECT_EQ(tracker.level(kB), 1u);
-  EXPECT_EQ(tracker.level(kC), 0u);
+  EXPECT_EQ(store.writes(kA, first), 2u);
+  EXPECT_EQ(store.writes(kB, first), 1u);
+  EXPECT_EQ(store.writes(kC, first), 0u);
+  EXPECT_EQ(tracker.class_level(kA.cls), 2u);  // the hottest of kA and kB
   tracker.roll();
-  EXPECT_EQ(tracker.level(kA), 0u);  // stale window expired
+  EXPECT_EQ(store.writes(kA, tracker.window(0) - 1), 0u);
+  EXPECT_EQ(tracker.class_level(kA.cls), 0u);  // stale window expired
 }
 
 TEST(ContentionTracker, ClassLevelIsHottestObject) {
+  VersionedStore store;
   ContentionTracker tracker;
-  for (int i = 0; i < 5; ++i) tracker.on_write(kA, 0);
-  tracker.on_write(kB, 0);   // same class as kA
-  tracker.on_write(kC, 0);   // different class
+  for (int i = 0; i < 5; ++i) commit_write(store, tracker, kA);
+  commit_write(store, tracker, kB);  // same class as kA
+  commit_write(store, tracker, kC);  // different class
   tracker.roll();
   EXPECT_EQ(tracker.class_level(1), 5u);  // max, not 6 (the sum)
   EXPECT_EQ(tracker.class_level(2), 1u);
@@ -140,71 +186,97 @@ TEST(ContentionTracker, ClassLevelIsHottestObject) {
 }
 
 TEST(ContentionTracker, BatchClassLevels) {
+  VersionedStore store;
   ContentionTracker tracker;
-  tracker.on_write(kA, 0);
-  tracker.on_write(kC, 0);
+  commit_write(store, tracker, kA);
+  commit_write(store, tracker, kC);
   tracker.roll();
   const auto levels = tracker.class_levels({2, 1, 9});
   EXPECT_EQ(levels, (std::vector<std::uint64_t>{1, 1, 0}));
 }
 
+// kA is the only key of its class written in the tests below, so its class
+// level is its own last-window count.
 TEST(ContentionTracker, TimeBasedRolling) {
+  VersionedStore store;
   ContentionTracker tracker(/*window_ns=*/1000);
-  tracker.on_write(kA, 100);
-  tracker.on_write(kA, 200);
+  commit_write(store, tracker, kA, 100);
+  commit_write(store, tracker, kA, 200);
   tracker.maybe_roll(500);  // window not elapsed
-  EXPECT_EQ(tracker.level(kA), 0u);
+  EXPECT_EQ(tracker.class_level(kA.cls), 0u);
   tracker.maybe_roll(1200);  // rolls
-  EXPECT_EQ(tracker.level(kA), 2u);
+  EXPECT_EQ(tracker.class_level(kA.cls), 2u);
 }
 
 TEST(ContentionTracker, RollsExactlyAtTheBoundaryTick) {
+  VersionedStore store;
   ContentionTracker tracker(/*window_ns=*/1000);
-  tracker.on_write(kA, 5000);  // first event anchors the window at 5000
-  tracker.on_write(kA, 5999);  // one tick before the boundary: same window
+  // The first event anchors the window at 5000.
+  commit_write(store, tracker, kA, 5000);
+  // One tick before the boundary: same window.
+  commit_write(store, tracker, kA, 5999);
   tracker.maybe_roll(5999);
-  EXPECT_EQ(tracker.level(kA), 0u);  // nothing completed yet
+  EXPECT_EQ(tracker.class_level(kA.cls), 0u);  // nothing completed yet
   tracker.maybe_roll(6000);  // elapsed == width: the boundary tick rolls
-  EXPECT_EQ(tracker.level(kA), 2u);
+  EXPECT_EQ(tracker.class_level(kA.cls), 2u);
   // The new window is anchored at the roll time, not the old start.
-  tracker.on_write(kA, 6999);
+  commit_write(store, tracker, kA, 6999);
   tracker.maybe_roll(6999);
-  EXPECT_EQ(tracker.level(kA), 2u);  // still the previous window's count
+  // Still the previous window's count.
+  EXPECT_EQ(tracker.class_level(kA.cls), 2u);
   tracker.maybe_roll(7000);
-  EXPECT_EQ(tracker.level(kA), 1u);
+  EXPECT_EQ(tracker.class_level(kA.cls), 1u);
 }
 
 TEST(ContentionTracker, ZeroWidthIsManualAndNegativeWidthIsRejected) {
+  VersionedStore store;
   ContentionTracker manual(/*window_ns=*/0);
-  manual.on_write(kA, 0);
+  commit_write(store, manual, kA);
   manual.maybe_roll(std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(manual.level(kA), 0u);  // zero width never auto-rolls
+  EXPECT_EQ(manual.class_level(kA.cls), 0u);  // zero width never auto-rolls
   manual.roll();
-  EXPECT_EQ(manual.level(kA), 1u);
+  EXPECT_EQ(manual.class_level(kA.cls), 1u);
 
   EXPECT_THROW(ContentionTracker(-1), std::invalid_argument);
   EXPECT_THROW(ContentionTracker(std::numeric_limits<std::int64_t>::min()),
                std::invalid_argument);
 }
 
-TEST(ContentionTracker, OnWriteRollsWindowItself) {
+TEST(ContentionTracker, ACommitRollsTheWindowItself) {
+  VersionedStore store;
   ContentionTracker tracker(/*window_ns=*/1000);
-  tracker.on_write(kA, 100);
-  tracker.on_write(kA, 1500);  // crosses the boundary: rolls, then counts
-  EXPECT_EQ(tracker.level(kA), 1u);
+  commit_write(store, tracker, kA, 100);
+  // Crosses the boundary: the window read rolls, then the write counts.
+  commit_write(store, tracker, kA, 1500);
+  EXPECT_EQ(tracker.class_level(kA.cls), 1u);
 }
 
 TEST(ContentionTracker, ConcurrentBumpsAreCounted) {
+  VersionedStore store;
   ContentionTracker tracker;
+  const std::uint32_t first = tracker.window(0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) tracker.on_write(kA, 0);
+      for (int i = 0; i < 1000; ++i) commit_write(store, tracker, kA);
     });
   for (auto& th : threads) th.join();
   tracker.roll();
-  EXPECT_EQ(tracker.level(kA), 4000u);
+  EXPECT_EQ(store.writes(kA, first), 4000u);
   EXPECT_EQ(tracker.class_level(kA.cls), 4000u);
+}
+
+TEST(ContentionTracker, ACountReadBeforeARollLandsInTheCompletedWindow) {
+  ContentionTracker tracker;
+  const std::uint32_t first = tracker.window(0);
+  tracker.roll();
+  tracker.note(first, kA.cls, 3);  // its writer read the window pre-roll
+  EXPECT_EQ(tracker.class_level(kA.cls), 3u);
+  tracker.roll();
+  tracker.note(first, kA.cls, 9);  // two windows old: dropped
+  EXPECT_EQ(tracker.class_level(kA.cls), 0u);
+  tracker.reset();
+  EXPECT_EQ(tracker.window(0), first + 2);  // reset keeps the clock
 }
 
 TEST(VersionedStore, ClearDropsEverything) {
