@@ -1,6 +1,8 @@
 #include "src/dtm/quorum_stub.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "src/common/clock.hpp"
 #include "src/dtm/codec.hpp"
@@ -23,6 +25,30 @@ void merge_contention(std::vector<std::uint64_t>& into,
     into[i] = std::max(into[i], from[i]);
 }
 
+/// The rpc.* counter and span name of a round's request kind (the kinds a
+/// shared round carries).
+std::pair<obs::MetricsRegistry::Counter*, const char*> rpc_kind(
+    obs::Observability& o, const Request& request) {
+  if (std::holds_alternative<PrepareRequest>(request.payload))
+    return {&o.rpc_prepares, "rpc.prepare"};
+  if (std::holds_alternative<ValidateRequest>(request.payload))
+    return {&o.rpc_validates, "rpc.validate"};
+  if (std::holds_alternative<CommitRequest>(request.payload))
+    return {&o.rpc_commits, "rpc.commit"};
+  return {&o.rpc_aborts, "rpc.abort"};
+}
+
+TxId tx_of(const Request& request) {
+  return std::visit(
+      [](const auto& payload) -> TxId {
+        if constexpr (requires { payload.tx; })
+          return payload.tx;
+        else
+          return 0;
+      },
+      request.payload);
+}
+
 }  // namespace
 
 QuorumStub::QuorumStub(DtmTransport& transport,
@@ -43,7 +69,8 @@ void QuorumStub::backoff(int attempt) {
 }
 
 void QuorumStub::retry_ladder(const std::vector<ObjectKey>& blame,
-                              const std::function<RoundStatus()>& round) {
+                              const std::function<RoundStatus()>& round,
+                              std::optional<RoundStatus> ran) {
   const std::uint64_t deadline_ns =
       static_cast<std::uint64_t>(config_.op_deadline.count());
   Stopwatch watch;
@@ -52,8 +79,8 @@ void QuorumStub::retry_ladder(const std::vector<ObjectKey>& blame,
   };
   int busy_attempts = 0;
   int quorum_attempts = 0;
-  for (;;) {
-    switch (round()) {
+  for (RoundStatus status = ran ? *ran : round();; status = round()) {
+    switch (status) {
       case RoundStatus::kDone:
         return;
       case RoundStatus::kBusy:
@@ -76,14 +103,48 @@ std::vector<net::CallResult<Response>> QuorumStub::exchange(
   if (config_.verify_codec && !(roundtrip(request) == request))
     throw std::logic_error("codec round-trip mismatch on request");
   auto results = transport_->multicall(client_node_, quorum, request);
-  if (config_.verify_codec) {
-    for (const auto& result : results) {
-      if (!result.ok()) continue;
-      if (!(roundtrip(result.response) == result.response))
-        throw std::logic_error("codec round-trip mismatch on response");
-    }
-  }
+  verify_responses(results);
   return results;
+}
+
+void QuorumStub::verify_responses(
+    const std::vector<net::CallResult<Response>>& results) const {
+  if (!config_.verify_codec) return;
+  for (const auto& result : results) {
+    if (!result.ok()) continue;
+    if (!(roundtrip(result.response) == result.response))
+      throw std::logic_error("codec round-trip mismatch on response");
+  }
+}
+
+std::vector<std::vector<net::CallResult<Response>>> QuorumStub::exchange(
+    std::span<const RoundPart> parts) {
+  std::vector<net::NodeId> targets;
+  std::vector<const Request*> requests;
+  obs::Observability* o = config_.obs;
+  for (const RoundPart& part : parts) {
+    if (config_.verify_codec && !(roundtrip(*part.request) == *part.request))
+      throw std::logic_error("codec round-trip mismatch on request");
+    if (o != nullptr) rpc_kind(*o, *part.request).first->add();
+    targets.insert(targets.end(), part.quorum.begin(), part.quorum.end());
+    requests.insert(requests.end(), part.quorum.size(), part.request);
+  }
+  obs::Tracer::Span span;
+  if (o != nullptr && !parts.empty())
+    span.restart(&o->tracer, rpc_kind(*o, *parts.front().request).second,
+                 "2pc", tx_of(*parts.front().request), "groups",
+                 static_cast<std::int64_t>(parts.size()));
+  auto results = transport_->multicall(client_node_, targets, requests);
+  verify_responses(results);
+  std::vector<std::vector<net::CallResult<Response>>> out;
+  out.reserve(parts.size());
+  auto next = std::make_move_iterator(results.begin());
+  for (const RoundPart& part : parts) {
+    const auto count = static_cast<std::ptrdiff_t>(part.quorum.size());
+    out.emplace_back(next, next + count);
+    next += count;
+  }
+  return out;
 }
 
 ReadOutcome QuorumStub::read(TxId tx, const ObjectKey& key,
@@ -242,7 +303,8 @@ BatchedReadOutcome QuorumStub::read_many(
   return out;
 }
 
-void QuorumStub::validate(TxId tx, const std::vector<VersionCheck>& checks) {
+void QuorumStub::validate(TxId tx, const std::vector<VersionCheck>& checks,
+                          std::optional<RoundStatus> ran) {
   if (checks.empty()) return;
   obs::Tracer::Span span;
   if (obs::Observability* o = config_.obs) {
@@ -250,115 +312,163 @@ void QuorumStub::validate(TxId tx, const std::vector<VersionCheck>& checks) {
     span.restart(&o->tracer, "rpc.validate", "rpc", tx, "checks",
                  static_cast<std::int64_t>(checks.size()));
   }
-  retry_ladder({}, [&]() -> RoundStatus {
-    const auto quorum = pick_read_quorum();
-    Request request;
-    request.payload = ValidateRequest{tx, checks};
-    const auto results = exchange(quorum, request);
-    std::vector<ObjectKey> invalid;
-    bool any_busy = false;
-    std::size_t reachable = 0;
-    for (const auto& result : results) {
-      if (!result.ok()) continue;
-      ++reachable;
-      const auto& res = std::get<ValidateResponse>(result.response.payload);
-      merge_invalid(invalid, res.invalid);
-      any_busy = any_busy || res.busy;
-    }
-    if (!invalid.empty()) throw TxAbort(AbortKind::kValidation, invalid);
-    // An unreachable quorum must not pass as "nobody refuted the checks" —
-    // re-select until someone actually answers.
-    if (reachable == 0) return RoundStatus::kUnreachable;
-    // Some checked object is protected by an in-flight commit: retry until
-    // the commit settles and validation can answer definitively.
-    if (any_busy) return RoundStatus::kBusy;
-    return RoundStatus::kDone;
-  });
+  const Request request = validate_request(tx, checks);
+  retry_ladder(
+      {},
+      [&]() -> RoundStatus {
+        const auto quorum = pick_read_quorum();
+        Verdict verdict = judge_validate(exchange(quorum, request));
+        if (verdict.refusal) throw std::move(*verdict.refusal);
+        return verdict.status;
+      },
+      ran);
 }
 
-PrepareTicket QuorumStub::prepare(TxId tx,
-                                  const std::vector<VersionCheck>& read_checks,
-                                  const std::vector<ObjectKey>& write_keys,
-                                  const std::vector<Version>& read_versions,
-                                  const PrepareExtras& extras) {
+Request QuorumStub::validate_request(TxId tx,
+                                     const std::vector<VersionCheck>& checks) {
+  Request request;
+  request.payload = ValidateRequest{tx, checks};
+  return request;
+}
+
+Verdict QuorumStub::judge_validate(Replies replies) {
+  std::vector<ObjectKey> invalid;
+  bool any_busy = false;
+  std::size_t reachable = 0;
+  for (const auto& result : replies) {
+    if (!result.ok()) continue;
+    ++reachable;
+    const auto& res = std::get<ValidateResponse>(result.response.payload);
+    merge_invalid(invalid, res.invalid);
+    any_busy = any_busy || res.busy;
+  }
+  Verdict verdict;
+  if (!invalid.empty())
+    verdict.refusal.emplace(AbortKind::kValidation, std::move(invalid));
+  // An unreachable quorum must not pass as "nobody refuted the checks" —
+  // re-select until someone actually answers.
+  else if (reachable == 0)
+    verdict.status = RoundStatus::kUnreachable;
+  // Some checked object is protected by an in-flight commit: retry until
+  // the commit settles and validation can answer definitively.
+  else if (any_busy)
+    verdict.status = RoundStatus::kBusy;
+  return verdict;
+}
+
+PrepareCall QuorumStub::prepare_call(
+    TxId tx, const std::vector<VersionCheck>& read_checks,
+    const std::vector<ObjectKey>& write_keys,
+    const std::vector<Version>& read_versions,
+    const PrepareExtras& extras) const {
+  PrepareRequest prepare_req{tx, read_checks, write_keys, config_.group};
+  prepare_req.participants = extras.participants;
+  prepare_req.coordinator = extras.coordinator;
+  prepare_req.values = extras.values;
+  PrepareCall call;
+  call.request.payload = std::move(prepare_req);
+  call.read_versions = read_versions;
+  return call;
+}
+
+PrepareTicket QuorumStub::prepare(const PrepareCall& call,
+                                  std::optional<RoundStatus> ran) {
+  const auto& req = std::get<PrepareRequest>(call.request.payload);
   obs::Tracer::Span span;
   obs::ScopedLatency latency;
   if (obs::Observability* o = config_.obs) {
     o->rpc_prepares.add();
-    span.restart(&o->tracer, "rpc.prepare", "2pc", tx, "writes",
-                 static_cast<std::int64_t>(write_keys.size()));
+    span.restart(&o->tracer, "rpc.prepare", "2pc", req.tx, "writes",
+                 static_cast<std::int64_t>(req.write_keys.size()));
     latency.arm(o->rpc_prepare_ns);
   }
   PrepareTicket ticket;
-  retry_ladder(write_keys, [&]() -> RoundStatus {
-    const auto quorum = pick_write_quorum();
-    Request request;
-    PrepareRequest prepare_req{tx, read_checks, write_keys, config_.group};
-    prepare_req.participants = extras.participants;
-    prepare_req.coordinator = extras.coordinator;
-    prepare_req.values = extras.values;
-    request.payload = std::move(prepare_req);
-    const auto results = exchange(quorum, request);
+  retry_ladder(
+      req.write_keys,
+      [&]() -> RoundStatus {
+        const auto quorum = pick_write_quorum();
+        PrepareVerdict verdict =
+            judge_prepare(call, quorum, exchange(quorum, call.request));
+        if (verdict.granted()) {
+          ticket = std::move(verdict.ticket);
+          return RoundStatus::kDone;
+        }
+        release(req.tx, req.write_keys, verdict.release);
+        if (verdict.refusal) throw std::move(*verdict.refusal);
+        return verdict.status;
+      },
+      ran);
+  return ticket;
+}
 
-    std::vector<ObjectKey> invalid;
-    bool any_busy = false;
-    bool any_unreachable = false;
-    bool any_wrong_group = false;
-    std::vector<Version> current(write_keys.size(), 0);
-    std::size_t ok_count = 0;
+PrepareVerdict QuorumStub::judge_prepare(const PrepareCall& call,
+                                         const std::vector<net::NodeId>& quorum,
+                                         Replies replies) {
+  const auto& req = std::get<PrepareRequest>(call.request.payload);
+  const std::vector<ObjectKey>& write_keys = req.write_keys;
+  std::vector<ObjectKey> invalid;
+  bool any_busy = false;
+  bool any_wrong_group = false;
+  std::vector<Version> current(write_keys.size(), 0);
+  std::size_t ok_count = 0;
+  PrepareVerdict verdict;
 
-    for (const auto& result : results) {
-      if (!result.ok()) {
-        any_unreachable = true;
-        continue;
-      }
-      const auto& res = std::get<PrepareResponse>(result.response.payload);
-      switch (res.code) {
-        case PrepareCode::kOk:
-          ++ok_count;
-          for (std::size_t i = 0; i < res.current_versions.size(); ++i)
-            current[i] = std::max(current[i], res.current_versions[i]);
-          break;
-        case PrepareCode::kBusy:
-          any_busy = true;
-          break;
-        case PrepareCode::kInvalid:
-          merge_invalid(invalid, res.invalid);
-          break;
-        case PrepareCode::kWrongGroup:
-          any_wrong_group = true;
-          break;
-      }
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const auto& result = replies[i];
+    if (!result.ok()) {
+      // A lost reply may hide a grant; a refused or partitioned request
+      // reached no one.
+      if (result.error == net::NetErrorCode::kDropped)
+        verdict.release.push_back(quorum[i]);
+      continue;
     }
-
-    const bool all_ok = ok_count == results.size() && !any_busy &&
-                        !any_unreachable && !any_wrong_group;
-    if (!all_ok) {
-      // Release whatever protection was acquired anywhere in the quorum.
-      send_abort(tx, quorum, write_keys);
-      // A wrong-group refusal is deterministic (the replica's group is
-      // fixed), so retrying the quorum cannot help — fail the operation.
-      if (any_wrong_group) throw TxAbort(AbortKind::kUnavailable, write_keys);
-      if (!invalid.empty()) throw TxAbort(AbortKind::kValidation, invalid);
-      if (any_busy) return RoundStatus::kBusy;
-      // A partly-down write quorum is not fatal: another write quorum that
-      // avoids the down nodes may exist, so re-select like read() does.
-      return RoundStatus::kUnreachable;
+    const auto& res = std::get<PrepareResponse>(result.response.payload);
+    switch (res.code) {
+      case PrepareCode::kOk:
+        ++ok_count;
+        verdict.release.push_back(quorum[i]);
+        for (std::size_t k = 0; k < res.current_versions.size(); ++k)
+          current[k] = std::max(current[k], res.current_versions[k]);
+        break;
+      // A refusing replica undid its own protections before answering.
+      case PrepareCode::kBusy:
+        any_busy = true;
+        break;
+      case PrepareCode::kInvalid:
+        merge_invalid(invalid, res.invalid);
+        break;
+      case PrepareCode::kWrongGroup:
+        any_wrong_group = true;
+        break;
     }
+  }
 
-    ticket = PrepareTicket{};
-    ticket.tx = tx;
+  if (ok_count == replies.size()) {
+    verdict.release.clear();
+    PrepareTicket& ticket = verdict.ticket;
+    ticket.tx = req.tx;
     ticket.quorum = quorum;
     ticket.keys = write_keys;
     ticket.new_versions.reserve(write_keys.size());
-    for (std::size_t i = 0; i < write_keys.size(); ++i) {
-      const Version floor_version =
-          std::max(current[i], i < read_versions.size() ? read_versions[i] : 0);
+    for (std::size_t k = 0; k < write_keys.size(); ++k) {
+      const Version floor_version = std::max(
+          current[k],
+          k < call.read_versions.size() ? call.read_versions[k] : 0);
       ticket.new_versions.push_back(floor_version + 1);
     }
-    return RoundStatus::kDone;
-  });
-  return ticket;
+    return verdict;
+  }
+  // A wrong-group refusal is deterministic (the replica's group is fixed),
+  // so retrying the quorum cannot help — fail the operation.
+  if (any_wrong_group)
+    verdict.refusal.emplace(AbortKind::kUnavailable, write_keys);
+  else if (!invalid.empty())
+    verdict.refusal.emplace(AbortKind::kValidation, std::move(invalid));
+  // A partly-down write quorum is not fatal: another write quorum that
+  // avoids the down nodes may exist, so re-select like read() does.
+  else
+    verdict.status = any_busy ? RoundStatus::kBusy : RoundStatus::kUnreachable;
+  return verdict;
 }
 
 void QuorumStub::commit(const PrepareTicket& ticket,
@@ -371,10 +481,20 @@ void QuorumStub::commit(const PrepareTicket& ticket,
                  static_cast<std::int64_t>(ticket.keys.size()));
     latency.arm(o->rpc_commit_ns);
   }
+  const Request request = commit_request(ticket, values);
+  settle_commit(ticket, request, exchange(ticket.quorum, request));
+}
+
+Request QuorumStub::commit_request(const PrepareTicket& ticket,
+                                   const std::vector<Record>& values) const {
   Request request;
   request.payload = CommitRequest{ticket.tx, ticket.keys, values,
                                   ticket.new_versions, config_.group};
+  return request;
+}
 
+void QuorumStub::settle_commit(const PrepareTicket& ticket,
+                               const Request& request, Replies replies) {
   // Replay phase two to unacked members until everyone answered, a member
   // reports the lease expired, or the replay budget runs out.  Servers ack
   // replays as kDuplicate, so re-sending through a lost request or response
@@ -385,17 +505,17 @@ void QuorumStub::commit(const PrepareTicket& ticket,
       static_cast<std::uint64_t>(config_.op_deadline.count());
   Stopwatch watch;
   std::vector<net::NodeId> pending = ticket.quorum;
+  std::vector<net::CallResult<Response>> replayed;
   std::size_t acked = 0;
   bool expired = false;
   for (int attempt = 0;; ++attempt) {
-    const auto results = exchange(pending, request);
     std::vector<net::NodeId> still_pending;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      if (!replies[i].ok()) {
         still_pending.push_back(pending[i]);
         continue;
       }
-      const auto& res = std::get<CommitResponse>(results[i].response.payload);
+      const auto& res = std::get<CommitResponse>(replies[i].response.payload);
       if (res.code == CommitCode::kExpired)
         expired = true;
       else
@@ -408,6 +528,8 @@ void QuorumStub::commit(const PrepareTicket& ticket,
     if (obs::Observability* o = config_.obs)
       o->rpc_commit_replays.add(pending.size());
     backoff(attempt);
+    replayed = exchange(pending, request);
+    replies = replayed;
   }
 
   if (expired) {
@@ -424,14 +546,26 @@ void QuorumStub::commit(const PrepareTicket& ticket,
 }
 
 void QuorumStub::abort(const PrepareTicket& ticket) {
-  send_abort(ticket.tx, ticket.quorum, ticket.keys);
+  release(ticket.tx, ticket.keys, ticket.quorum);
 }
 
-void QuorumStub::send_abort(TxId tx, const std::vector<net::NodeId>& quorum,
-                            const std::vector<ObjectKey>& keys) {
-  if (obs::Observability* o = config_.obs) o->rpc_aborts.add();
+Request QuorumStub::release_request(TxId tx,
+                                    const std::vector<ObjectKey>& keys) {
   Request request;
   request.payload = AbortRequest{tx, keys};
+  return request;
+}
+
+void QuorumStub::release(TxId tx, const std::vector<ObjectKey>& keys,
+                         const std::vector<net::NodeId>& members) {
+  if (members.empty()) return;
+  if (obs::Observability* o = config_.obs) o->rpc_aborts.add();
+  const Request request = release_request(tx, keys);
+  settle_release(members, request, exchange(members, request));
+}
+
+void QuorumStub::settle_release(const std::vector<net::NodeId>& members,
+                                const Request& request, Replies replies) {
   // Aborts must be delivered as reliably as commits: a dropped abort leaves
   // the keys protected on that member until the prepare lease expires, and
   // on hot keys that stall every later prepare for the whole lease.  Replay
@@ -441,16 +575,18 @@ void QuorumStub::send_abort(TxId tx, const std::vector<net::NodeId>& quorum,
   const std::uint64_t deadline_ns =
       static_cast<std::uint64_t>(config_.op_deadline.count());
   Stopwatch watch;
-  std::vector<net::NodeId> pending = quorum;
+  std::vector<net::NodeId> pending = members;
+  std::vector<net::CallResult<Response>> replayed;
   for (int attempt = 0;; ++attempt) {
-    const auto results = exchange(pending, request);
     std::vector<net::NodeId> still_pending;
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (!results[i].ok()) still_pending.push_back(pending[i]);
+    for (std::size_t i = 0; i < replies.size(); ++i)
+      if (!replies[i].ok()) still_pending.push_back(pending[i]);
     pending = std::move(still_pending);
     if (pending.empty() || attempt >= config_.max_commit_replays ||
         (deadline_ns > 0 && watch.elapsed_ns() >= deadline_ns))
       return;
+    replayed = exchange(pending, request);
+    replies = replayed;
   }
 }
 

@@ -23,13 +23,25 @@
 // commit() re-sends phase two to members whose ack was lost (dropped
 // request or response leg) — servers acknowledge replays idempotently — and
 // converts a lease-expired verdict into TxAbort so the executor retries the
-// transaction from scratch (presumed abort).
+// transaction from scratch (presumed abort).  A refused prepare releases
+// only the members that granted it or whose reply was lost: a replica that
+// refused undid its own protections before answering.
+//
+// The validate, prepare, commit and abort rounds are also available split
+// in two, a request builder and a reply judge, so that a caller holding one
+// stub per quorum group (shard::ShardTx) can run several groups' rounds as
+// ONE multicall (exchange over RoundParts) and hand each group's replies to
+// its stub: the judges read them exactly as the stub's own rounds do, the
+// ladders continue from a round that already ran (`ran`), and settle_commit
+// / settle_release run the phase-two replay loop from a first round's
+// replies.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "src/common/retry_policy.hpp"
 #include "src/common/rng.hpp"
@@ -89,6 +101,23 @@ struct BatchedReadOutcome {
   std::vector<std::uint64_t> contention;
 };
 
+/// One quorum round's verdict, as the shared retry ladder sees it.
+enum class RoundStatus {
+  kDone,         // finished; the round captured its result
+  kBusy,         // transient busy replies: back off and retry
+  kUnreachable,  // quorum not (fully) reachable: re-select and retry
+};
+
+/// One group's share of a round: the quorum it targets and the request
+/// every member of it gets (owned by the caller, alive through the round).
+struct RoundPart {
+  std::vector<net::NodeId> quorum;
+  const Request* request = nullptr;
+};
+
+/// A round's replies for one part, aligned with its quorum.
+using Replies = std::span<const net::CallResult<Response>>;
+
 /// Binds a prepared two-phase commit to the quorum that granted it.
 struct PrepareTicket {
   TxId tx = 0;
@@ -107,6 +136,36 @@ struct PrepareExtras {
   std::vector<std::uint32_t> participants;
   std::int64_t coordinator = -1;
   std::vector<Record> values;
+};
+
+/// One group's prepare, built once and sent in every round of its ladder:
+/// the PrepareRequest and, per write key, the version the transaction read
+/// (0 for blind inserts) so new versions advance past both the replicas'
+/// and the reader's view.
+struct PrepareCall {
+  Request request;
+  std::vector<Version> read_versions;  // aligned with the write keys
+};
+
+/// A judge's reading of one round.  kDone with a refusal is final (a
+/// validation failure, or a replica of another group); kBusy and
+/// kUnreachable go back on the ladder.
+struct Verdict {
+  RoundStatus status = RoundStatus::kDone;
+  std::optional<TxAbort> refusal;
+};
+
+/// A prepare round's verdict: granted (kDone, no refusal) with `ticket`,
+/// or not, with the members a release must reach in `release`.
+struct PrepareVerdict : Verdict {
+  PrepareTicket ticket;
+  /// Members that may hold the round's protections: they answered kOk, or
+  /// their reply was lost.  Empty when granted (release the ticket's
+  /// quorum instead).
+  std::vector<net::NodeId> release;
+  bool granted() const noexcept {
+    return status == RoundStatus::kDone && !refusal;
+  }
 };
 
 class QuorumStub {
@@ -135,17 +194,25 @@ class QuorumStub {
                                const std::vector<ClassId>& want_contention = {});
 
   /// Stand-alone incremental validation; throws TxAbort(kValidation) when
-  /// any replica refutes a check.
-  void validate(TxId tx, const std::vector<VersionCheck>& checks);
+  /// any replica refutes a check.  `ran` is the status of a round the
+  /// caller already ran for these checks (a shared round): the ladder
+  /// counts it and climbs on from there.
+  void validate(TxId tx, const std::vector<VersionCheck>& checks,
+                std::optional<RoundStatus> ran = std::nullopt);
 
   /// Phase one of commit.  `write_keys` must be sorted ascending;
   /// `read_versions` gives, per write key, the version the transaction read
-  /// (0 for blind inserts) so new versions advance past both the replicas'
-  /// and the reader's view.  Throws TxAbort on conflict.
+  /// (0 for blind inserts).  Throws TxAbort on conflict.
   PrepareTicket prepare(TxId tx, const std::vector<VersionCheck>& read_checks,
                         const std::vector<ObjectKey>& write_keys,
                         const std::vector<Version>& read_versions,
-                        const PrepareExtras& extras = {});
+                        const PrepareExtras& extras = {}) {
+    return prepare(prepare_call(tx, read_checks, write_keys, read_versions,
+                                extras));
+  }
+  /// prepare() of a built call; `ran` as for validate().
+  PrepareTicket prepare(const PrepareCall& call,
+                        std::optional<RoundStatus> ran = std::nullopt);
 
   /// Phase two: install values (aligned with ticket.keys).  Members whose
   /// ack was lost are retried up to max_commit_replays rounds (servers
@@ -162,6 +229,44 @@ class QuorumStub {
   /// Release a prepared-but-not-committed transaction.
   void abort(const PrepareTicket& ticket);
 
+  // -- rounds split into builders and judges (see the header comment) -----
+  PrepareCall prepare_call(TxId tx,
+                           const std::vector<VersionCheck>& read_checks,
+                           const std::vector<ObjectKey>& write_keys,
+                           const std::vector<Version>& read_versions,
+                           const PrepareExtras& extras = {}) const;
+  static Request validate_request(TxId tx,
+                                  const std::vector<VersionCheck>& checks);
+  Request commit_request(const PrepareTicket& ticket,
+                         const std::vector<Record>& values) const;
+  static Request release_request(TxId tx, const std::vector<ObjectKey>& keys);
+
+  /// `call`'s round on `quorum`: granted when every member granted.
+  static PrepareVerdict judge_prepare(const PrepareCall& call,
+                                      const std::vector<net::NodeId>& quorum,
+                                      Replies replies);
+  static Verdict judge_validate(Replies replies);
+  /// Phase two from its first round's `replies` (to ticket.quorum): replays
+  /// `request` to the members whose ack was lost and throws what commit()
+  /// throws.
+  void settle_commit(const PrepareTicket& ticket, const Request& request,
+                     Replies replies);
+  /// A release from its first round's `replies` (to `members`): replays to
+  /// the members whose ack was lost.
+  void settle_release(const std::vector<net::NodeId>& members,
+                      const Request& request, Replies replies);
+
+  /// Every part in ONE multicall through this stub's transport as its
+  /// client node (a coordinator's per-group stubs share both), with the
+  /// codec check; returns each part's replies, aligned with its quorum.
+  /// Counts one operation of its request kind per part in the rpc.*
+  /// counters and traces the round as one span.
+  std::vector<std::vector<net::CallResult<Response>>> exchange(
+      std::span<const RoundPart> parts);
+
+  std::vector<net::NodeId> pick_read_quorum() { return quorums_.read_quorum(rng_); }
+  std::vector<net::NodeId> pick_write_quorum() { return quorums_.write_quorum(rng_); }
+
   /// Dynamic Module query: per-class contention levels (max over a write
   /// quorum — counters diverge across replicas because each sees only the
   /// commits of quorums it belonged to; the root, part of every write
@@ -171,29 +276,26 @@ class QuorumStub {
   net::NodeId client_node() const noexcept { return client_node_; }
 
  private:
-  /// One quorum round's verdict, as seen by the shared retry ladder.
-  enum class RoundStatus {
-    kDone,         // finished; the round captured its result
-    kBusy,         // transient busy replies: back off and retry
-    kUnreachable,  // quorum not (fully) reachable: re-select and retry
-  };
-
   /// The retry ladder every quorum operation climbs: invokes `round` until
   /// it reports kDone, backing off on kBusy (up to retry.max_retries, then
   /// TxAbort{kBusy}) and re-selecting quorums on kUnreachable (up to
   /// max_quorum_retries, then TxAbort{kUnavailable}); either abort lists
   /// `blame`.  Rounds throw TxAbort(kValidation)/ObjectMissing directly.
+  /// `ran` is the status of a first round run elsewhere.
   void retry_ladder(const std::vector<ObjectKey>& blame,
-                    const std::function<RoundStatus()>& round);
+                    const std::function<RoundStatus()>& round,
+                    std::optional<RoundStatus> ran = std::nullopt);
 
-  std::vector<net::NodeId> pick_read_quorum() { return quorums_.read_quorum(rng_); }
-  std::vector<net::NodeId> pick_write_quorum() { return quorums_.write_quorum(rng_); }
   /// multicall + optional codec verification of request and responses.
   std::vector<net::CallResult<Response>> exchange(
       const std::vector<net::NodeId>& quorum, const Request& request);
+  void verify_responses(
+      const std::vector<net::CallResult<Response>>& results) const;
   void backoff(int attempt);
-  void send_abort(TxId tx, const std::vector<net::NodeId>& quorum,
-                  const std::vector<ObjectKey>& keys);
+  /// Release `keys` of `tx` on `members` (no round when empty), replaying
+  /// to unacked members.
+  void release(TxId tx, const std::vector<ObjectKey>& keys,
+               const std::vector<net::NodeId>& members);
 
   DtmTransport* transport_;
   const quorum::QuorumSystem& quorums_;

@@ -8,10 +8,16 @@
 namespace acn::dtm {
 namespace {
 
-// FIFO cap on the presumed-abort / idempotency memories.  Generously above
-// any plausible in-flight transaction count; see server.hpp for why eviction
-// is safe.
-constexpr std::size_t kMaxRememberedTx = 1 << 16;
+// FIFO cap on the presumed-abort / idempotency memories (server.hpp says
+// why eviction is safe).  They must cover the horizon in which a finished
+// transaction's id can still arrive:
+//   * phase-two replays, at most max_commit_replays rounds and op_deadline
+//     after the first push;
+//   * DecisionQuery from in-doubt siblings and from replicas rejoining
+//     within a fault window.
+// 32,768 ids is about 3 s of tpcc-lan's commits on a root, which sees every
+// commit; a full set costs 512 KB.
+constexpr std::size_t kMaxRememberedTx = 1 << 15;
 
 }  // namespace
 

@@ -180,17 +180,22 @@ void Transaction::commit() {
   commit_prepared();
 }
 
-void Transaction::prepare(const std::vector<std::uint32_t>& participants,
-                          std::int64_t coordinator) {
+void Transaction::prepare() {
   if (frames_.size() != 1)
     throw std::logic_error("Transaction::prepare with open sub-transaction");
-  const Frame& frame = frames_.front();
-  if (frame.writes.empty()) {
+  if (frames_.front().writes.empty()) {
     // Read-only: one final validation round suffices (no 2PC).
     stub_.validate(id_, all_version_checks());
     return;
   }
+  ticket_ = stub_.prepare(prepare_call({}, -1));
+}
 
+dtm::PrepareCall Transaction::prepare_call(
+    const std::vector<std::uint32_t>& participants, std::int64_t coordinator) {
+  if (frames_.size() != 1)
+    throw std::logic_error("Transaction::prepare with open sub-transaction");
+  const Frame& frame = frames_.front();
   std::vector<ObjectKey> write_keys;
   write_keys.reserve(frame.writes.size());
   for (const auto& [key, value] : frame.writes) write_keys.push_back(key);
@@ -216,13 +221,20 @@ void Transaction::prepare(const std::vector<std::uint32_t>& participants,
   // checked; written objects are protected during prepare, and their checks
   // ride along too (the server skips self-protected busy conflicts by
   // comparing versions only).
-  ticket_ = stub_.prepare(id_, all_version_checks(), write_keys, read_versions,
-                          extras);
+  return stub_.prepare_call(id_, all_version_checks(), write_keys,
+                            read_versions, extras);
+}
+
+std::vector<dtm::VersionCheck> Transaction::unwritten_read_checks() const {
+  std::vector<dtm::VersionCheck> checks;
+  for (const auto& frame : frames_)
+    for (const auto& [key, record] : frame.reads)
+      if (!has_written(key)) checks.push_back({key, record.version});
+  return checks;
 }
 
 void Transaction::commit_prepared() {
-  const std::optional<dtm::PrepareTicket> ticket =
-      std::exchange(ticket_, std::nullopt);
+  const std::optional<dtm::PrepareTicket> ticket = take_ticket();
   if (ticket) stub_.commit(*ticket, values_);
   if (!history_) return;
   CommittedTxn entry;
@@ -236,8 +248,7 @@ void Transaction::commit_prepared() {
 }
 
 void Transaction::abort_prepared() {
-  if (const std::optional<dtm::PrepareTicket> ticket =
-          std::exchange(ticket_, std::nullopt))
+  if (const std::optional<dtm::PrepareTicket> ticket = take_ticket())
     stub_.abort(*ticket);
 }
 

@@ -17,10 +17,11 @@
 // must restart.
 //
 // The final commit() runs two-phase commit over a write quorum with the
-// flattened read/write sets: prepare(), then commit_prepared().  The phases
-// are public so a cross-shard context (shard::ShardTx, one Transaction per
-// quorum group) can run them group by group under its own decision.  Only
-// one level of nesting is supported, per the paper's system model
+// flattened read/write sets: prepare(), then commit_prepared().  A
+// cross-shard context (shard::ShardTx, one Transaction per quorum group)
+// takes the phases apart instead — prepare_call(), hold(), take_ticket() —
+// so that it can run several groups' rounds as one under its own decision.
+// Only one level of nesting is supported, per the paper's system model
 // (Section IV).
 #pragma once
 
@@ -28,6 +29,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/dtm/quorum_stub.hpp"
@@ -111,12 +113,9 @@ class Transaction final : public TxContext {
 
   /// Phase one; requires depth() == 1.  Prepares the write set on a write
   /// quorum and holds the ticket, or runs a read-only transaction's final
-  /// validation round and holds nothing.  A non-empty `participants` (the
-  /// write groups of a cross-shard transaction) is stamped into the prepare
-  /// with `coordinator` and the redo values.  Throws TxAbort holding
-  /// nothing (the stub releases what a failed prepare acquired).
-  void prepare(const std::vector<std::uint32_t>& participants = {},
-               std::int64_t coordinator = -1);
+  /// validation round and holds nothing.  Throws TxAbort holding nothing
+  /// (the stub releases what a failed prepare acquired).
+  void prepare();
   /// Phase two: install the held prepare, if any, and record history.
   /// Throws what QuorumStub::commit throws; the ticket is spent either way.
   void commit_prepared();
@@ -130,6 +129,25 @@ class Transaction final : public TxContext {
   const std::vector<Record>& prepared_values() const noexcept {
     return values_;
   }
+
+  // -- phase one and two split, for a caller that runs several groups'
+  //    rounds as one network round (shard::ShardTx) -----------------------
+  /// The write set's prepare as prepare() would send it (requires
+  /// depth() == 1 and a write set), with the values kept for phase two.
+  /// A non-empty `participants` (the write groups of a cross-shard
+  /// transaction) is stamped into it with `coordinator` and the redo
+  /// values.
+  dtm::PrepareCall prepare_call(const std::vector<std::uint32_t>& participants,
+                                std::int64_t coordinator);
+  /// Hold a prepare the caller's round granted.
+  void hold(dtm::PrepareTicket ticket) { ticket_ = std::move(ticket); }
+  /// Give up the held prepare (the caller commits or releases it).
+  std::optional<dtm::PrepareTicket> take_ticket() noexcept {
+    return std::exchange(ticket_, std::nullopt);
+  }
+  /// The checks of every key read and not written: what must still hold
+  /// once every group's prepare holds.
+  std::vector<dtm::VersionCheck> unwritten_read_checks() const;
 
   /// Release whatever prepare() holds; commit() itself holds nothing once
   /// it returns or throws.

@@ -7,7 +7,8 @@
 //   * injects one-way latency from a pluggable LatencyModel on the request
 //     and the response leg;
 //   * runs every RPC as a *round*: call() is a round with one target,
-//     multicall() a quorum round that contacts several nodes concurrently;
+//     multicall() a round that contacts several nodes concurrently, each
+//     with its own request (one quorum, or several groups' quorums);
 //   * accounts messages and bytes (requests/responses expose approx_size())
 //     in its NetStats, and approximate wire bytes in the Transport's
 //     TransportCounters;
@@ -114,16 +115,18 @@ class Network final : public Transport<Req, Res> {
     return out;
   }
 
-  /// Handlers run inline in target order and the caller waits once, for
-  /// the slowest round trip; results align with `targets`.
-  std::vector<CallResult<Res>> multicall(NodeId from,
-                                         const std::vector<NodeId>& targets,
-                                         const Req& req) override {
+  /// One round: handlers run inline in target order and the caller waits
+  /// once, for the slowest round trip; results align with `targets`.
+  using Transport<Req, Res>::multicall;
+  std::vector<CallResult<Res>> multicall(
+      NodeId from, const std::vector<NodeId>& targets,
+      std::span<const Req* const> requests) override {
     require_not_in_handler("multicall");
+    require_request_per_target(targets.size(), requests.size());
     Round round;
     std::vector<CallResult<Res>> out(targets.size());
     for (std::size_t i = 0; i < targets.size(); ++i)
-      send(round, from, targets[i], req, out[i]);
+      send(round, from, targets[i], *requests[i], out[i]);
     finish(round);
     return out;
   }

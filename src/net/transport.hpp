@@ -15,8 +15,11 @@
 //     backoff.  Replicas run as separate cluster_main processes.
 //
 // Semantics both implementations honor:
-//   * multicall sends the SAME request to every target and returns results
-//     aligned with `targets`; the caller waits once, for the slowest reply.
+//   * multicall sends a request per target, all in flight at once, and
+//     returns results aligned with `targets`; the caller waits once, for
+//     the slowest reply.  Several quorum groups' rounds share one multicall
+//     this way (shard::ShardTx's 2PC phases); the same-request form is a
+//     thin wrapper over it.
 //   * A handler registered through register_node must not issue nested
 //     calls through the transport (see the re-entrancy guard below — on
 //     TCP the loop would deadlock; identical contract on both).
@@ -41,6 +44,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -94,6 +98,15 @@ struct alignas(64) TransportCounters {
   std::atomic<std::uint64_t> frames_corrupt{0};
 };
 
+/// Throws std::invalid_argument unless every target has a request.
+inline void require_request_per_target(std::size_t targets,
+                                       std::size_t requests) {
+  if (targets != requests)
+    throw std::invalid_argument(
+        "net: multicall with " + std::to_string(targets) + " targets but " +
+        std::to_string(requests) + " requests");
+}
+
 template <class Req, class Res>
 class Transport {
  public:
@@ -104,11 +117,23 @@ class Transport {
   /// Synchronous RPC from `from` to `to`.
   virtual CallResult<Res> call(NodeId from, NodeId to, const Req& req) = 0;
 
-  /// Concurrent RPC of the SAME request to all `targets`; results align
-  /// with `targets`.  The caller waits for the slowest reply (or its
-  /// deadline) once, like a quorum client that fires and gathers.
+  /// Concurrent RPC of `*requests[i]` to `targets[i]`; results align with
+  /// `targets`.  The caller waits for the slowest reply (or its deadline)
+  /// once, like a quorum client that fires and gathers.  Targets may share
+  /// a request (one pointer); an implementation that serializes requests
+  /// encodes each distinct one once.  Throws std::invalid_argument when the
+  /// two lists differ in length.
   virtual std::vector<CallResult<Res>> multicall(
-      NodeId from, const std::vector<NodeId>& targets, const Req& req) = 0;
+      NodeId from, const std::vector<NodeId>& targets,
+      std::span<const Req* const> requests) = 0;
+
+  /// The same request to every target.
+  std::vector<CallResult<Res>> multicall(NodeId from,
+                                         const std::vector<NodeId>& targets,
+                                         const Req& req) {
+    const std::vector<const Req*> requests(targets.size(), &req);
+    return multicall(from, targets, requests);
+  }
 
   /// Register node `id`'s request handler and mark the node up.  On the
   /// simulation every node is registered this way; on TCP it registers a

@@ -13,14 +13,23 @@
 // predicted footprint only picks the home group, it never decides the
 // commit):
 //
-//   * one group — that group's Transaction commits as it would on its own:
-//     one prepare + one commit round on the group's write quorum (one
+//   * one group — the messages and rounds of a lone Transaction: one
+//     prepare + one commit round on the group's write quorum (one
 //     validation round if read-only).  No other group hears about it.
 //   * several groups — 2PC with the coordinator as the (unreplicated)
-//     transaction manager: phase 1 prepares every write group (ascending
-//     group order — deterministic, so two coordinators cannot deadlock
-//     across groups) and validates read-only groups; phase 2 commits each
-//     prepared group.  Any phase-1 failure aborts every acquired ticket.
+//     transaction manager, each phase ONE network round over all its
+//     groups (a per-target multicall; each group's stub judges its own
+//     replies): a prepare round over every write group (a transaction
+//     that writes nothing validates every group instead); when it read a
+//     key it does not write, a validation round over all such reads while
+//     every grant is held (Silo's lock-then-validate order: of two
+//     transactions that each read what the other writes, one finds the
+//     other's protection); then phase two to every prepared group.  A
+//     group found busy or unreachable in the prepare round is claimed in
+//     order: the grants below it are kept, those above it released, and
+//     the rest climbed in ascending group order, so a transaction never
+//     retries a group while it holds a higher one.  Any other failure
+//     releases every grant in one round.
 //
 // Coordinator crash tolerance is layered:
 //   * between prepares, presumed abort still rules — a single-write-group
@@ -135,15 +144,17 @@ class ShardTx final : public nesting::TxContext {
 
   // -- 2PC phase by phase (commit() composes them; coordinator-crash tests
   //    drive them one at a time) ------------------------------------------
-  /// Phase 1 only: classify, prepare every write group, validate read-only
-  /// groups.  Returns the number of groups holding a prepare ticket.
+  /// Phase 1 only: classify, prepare every write group in one round, then
+  /// validate the unwritten reads in one more (several groups, or nothing
+  /// written).  Returns the number of groups holding a prepare ticket.
   /// Abandoning the handle after this call models a coordinator crash
   /// between prepares: the groups' leases expire and presumed abort
   /// releases them.
   std::size_t prepare_all();
-  /// Phase 2 over the tickets prepare_all() acquired.
+  /// Phase 2 over the tickets prepare_all() acquired: the decision record
+  /// (several write groups), then one round to every prepared group.
   void commit_prepared();
-  /// Presumed-abort cleanup of prepare_all()'s tickets.
+  /// Presumed-abort cleanup of prepare_all()'s tickets, in one round.
   void abort_prepared();
   /// Every (key, proposed version) the tickets of prepare_all() would
   /// install, across all groups — what the atomicity checker needs for a
@@ -178,6 +189,28 @@ class ShardTx final : public nesting::TxContext {
   nesting::Transaction& write_tx(const store::ObjectKey& key);
   /// State after a failed commit (see commit()).
   void fail_commit();
+
+  /// The members of one group a release must reach, and its keys.
+  struct Release {
+    std::uint32_t group;
+    std::vector<store::ObjectKey> keys;
+    std::vector<net::NodeId> members;
+  };
+  /// Round one: prepare every write group in one round, then the ordered
+  /// claim when a group was busy or unreachable.  Throws holding what it
+  /// acquired; a refusal first releases everything.
+  void prepare_writes();
+  /// One round validating, in every group, the reads not written; a busy
+  /// or unreached group climbs its stub's ladder.
+  void validate_reads();
+  /// Every held ticket, taken from its group.
+  std::vector<Release> take_held();
+  /// One release round over the members named (none when no member
+  /// qualifies); each group's stub replays to its unacked members.
+  void release(std::vector<Release> releases);
+  /// Record the abort of a cross-shard transaction that holds tickets, and
+  /// release them together with `loose` in one round.
+  void unwind(std::vector<Release> loose);
 
   CrossShardCoordinator* owner_ = nullptr;
   /// The run's config the group Transactions are armed with (null: none).
@@ -254,6 +287,10 @@ class CrossShardCoordinator final : public acn::ContextSource {
   friend class ShardTx;
 
   dtm::QuorumStub& stub(std::uint32_t group) { return stubs_.at(group); }
+  /// One network round carrying every part (each group's stub shares the
+  /// client's transport and node id); replies per part.
+  std::vector<std::vector<net::CallResult<dtm::Response>>> exchange(
+      const std::vector<dtm::RoundPart>& parts);
   /// Commit-side accounting, once per committed ShardTx.
   void note_commit(const RoutePlan& predicted, const RoutePlan& committed);
 

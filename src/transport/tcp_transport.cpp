@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -360,8 +361,9 @@ net::CallResult<dtm::Response> TcpTransport::call(net::NodeId from,
 
 std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
     net::NodeId from, const std::vector<net::NodeId>& targets,
-    const dtm::Request& req) {
+    std::span<const dtm::Request* const> requests) {
   net::require_not_in_handler("multicall");
+  net::require_request_per_target(targets.size(), requests.size());
   std::vector<net::CallResult<dtm::Response>> out(targets.size());
   std::vector<std::shared_ptr<Impl::Pending>> slots(targets.size());
   std::vector<Impl::Link*> links(targets.size(), nullptr);
@@ -371,9 +373,12 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
   // dispatch phase.  Sends for every remote target are queued before any
   // wait, so the requests genuinely overlap on the wire.
   Nanos extra_total{0};
-  std::vector<std::uint8_t> payload;  // encoded once, shared by all targets
+  // Each distinct request is encoded once and shared by its targets.
+  std::vector<std::pair<const dtm::Request*, std::vector<std::uint8_t>>>
+      payloads;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const net::NodeId to = targets[i];
+    const dtm::Request& req = *requests[i];
     // A refused, partitioned or request-leg-dropped call never hits the
     // wire.
     const net::Fate fate = faults_.fate(from, to);
@@ -415,8 +420,12 @@ std::vector<net::CallResult<dtm::Response>> TcpTransport::multicall(
     }
     const std::uint64_t id =
         impl_->next_request_id.fetch_add(1, std::memory_order_relaxed);
-    if (payload.empty())
-      payload = encode_request_payload(0, from, req);
+    auto encoded = std::find_if(payloads.begin(), payloads.end(),
+                                [&](const auto& p) { return p.first == &req; });
+    if (encoded == payloads.end())
+      encoded = payloads.insert(payloads.end(),
+                                {&req, encode_request_payload(0, from, req)});
+    std::vector<std::uint8_t>& payload = encoded->second;
     // Patch the request id into the shared payload (envelope byte 1..8).
     std::memcpy(payload.data() + 1, &id, sizeof id);
     ids[i] = id;

@@ -89,9 +89,10 @@ class TcpTransport final : public dtm::DtmTransport {
   // -- net::Transport -----------------------------------------------------
   net::CallResult<dtm::Response> call(net::NodeId from, net::NodeId to,
                                       const dtm::Request& req) override;
+  using dtm::DtmTransport::multicall;
   std::vector<net::CallResult<dtm::Response>> multicall(
       net::NodeId from, const std::vector<net::NodeId>& targets,
-      const dtm::Request& req) override;
+      std::span<const dtm::Request* const> requests) override;
   /// Serves `id` locally: calls addressed to it loop back in-process.
   void register_node(net::NodeId id, Handler handler) override;
 

@@ -162,6 +162,45 @@ TEST(QuorumStub, FailedPrepareLeavesNothingProtected) {
     EXPECT_NE(server->store().read(kA).status, store::ReadStatus::kProtected);
 }
 
+TEST(QuorumStub, PrepareRefusedByEveryMemberSendsNoRelease) {
+  auto config = fast_config();
+  config.stub.retry.max_retries = 0;
+  Cluster cluster(config);
+  workloads::seed_all(cluster.servers(), kA, Record{1});
+  for (auto* server : cluster.servers())
+    ASSERT_TRUE(server->store().try_protect(kA, 999));
+  auto stub = cluster.make_stub(0);
+  EXPECT_THROW(stub.prepare(1, {}, {kA}, {1}), TxAbort);
+  // Each refusing replica undid its own protections before answering.
+  for (auto* server : cluster.servers())
+    EXPECT_EQ(server->stats().aborts.load(), 0u);
+}
+
+TEST(QuorumStub, PrepareRefusedBySomeMembersReleasesOnlyTheOthers) {
+  auto config = fast_config();
+  config.stub.retry.max_retries = 0;
+  Cluster cluster(config);
+  workloads::seed_all(cluster.servers(), kA, Record{1});
+  // The root sits in every write quorum: it refuses, the others grant.
+  ASSERT_TRUE(cluster.server(0).store().try_protect(kA, 999));
+  auto stub = cluster.make_stub(0);
+  EXPECT_THROW(stub.prepare(1, {}, {kA}, {1}), TxAbort);
+  EXPECT_EQ(cluster.server(0).stats().aborts.load(), 0u);
+  std::uint64_t granted = 0, released = 0;
+  for (std::size_t i = 1; i < cluster.size(); ++i) {
+    granted += cluster.server(i).stats().prepares.load();
+    released += cluster.server(i).stats().aborts.load();
+    EXPECT_EQ(cluster.server(i).stats().aborts.load(),
+              cluster.server(i).stats().prepares.load());
+  }
+  EXPECT_GT(granted, 0u);
+  EXPECT_EQ(released, granted);
+  std::size_t protected_count = 0;
+  for (auto* server : cluster.servers())
+    protected_count += server->store().protected_count();
+  EXPECT_EQ(protected_count, 1u);  // only the root's foreign protection
+}
+
 TEST(QuorumStub, AbortReleasesPreparedObjects) {
   Cluster cluster(fast_config());
   workloads::seed_all(cluster.servers(), kA, Record{1});
@@ -473,7 +512,7 @@ TEST(Server, PresumedAbortSurvivesASecondExpiryAfterARetriedPrepare) {
   // A transaction whose lease expires, prepares again and expires again
   // must stay presumed aborted until a full cap of other transactions has
   // expired after it, so a late commit is still refused.
-  constexpr std::size_t kCap = 1 << 16;  // the server's memory cap
+  constexpr std::size_t kCap = 1 << 15;  // the server's memory cap
   Server server(0, 0, /*prepare_lease_ns=*/1);
   const auto prepare_and_expire = [&](TxId tx) {
     PrepareRequest prepare;

@@ -228,6 +228,39 @@ TEST(Network, MulticallPaysWorstRoundTripOnce) {
   EXPECT_LT(elapsed, 12'000'000u);
 }
 
+TEST(Network, MulticallSendsEachTargetItsOwnRequest) {
+  using namespace std::chrono_literals;
+  auto net = make_net(4, std::make_shared<FixedLatency>(Nanos{1ms}));
+  // Target 3 is the slowest: 1 ms more on each leg.
+  net->set_link_fault(10, 3, LinkFault{0.0, Nanos{1ms}});
+  net->set_link_fault(3, 10, LinkFault{0.0, Nanos{1ms}});
+  const Ping first{10}, second{20};
+  const std::vector<const Ping*> requests{&first, &second, &first};
+  Stopwatch watch;
+  const auto results = net->multicall(10, {2, 3, 0}, requests);
+  const auto elapsed = watch.elapsed_ns();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].response.handled_by, 2);
+  EXPECT_EQ(results[0].response.value, 11);
+  EXPECT_EQ(results[1].response.handled_by, 3);
+  EXPECT_EQ(results[1].response.value, 21);
+  EXPECT_EQ(results[2].response.handled_by, 0);
+  EXPECT_EQ(results[2].response.value, 11);
+  // One round, one sleep: the slowest target's 4 ms, not the 8 ms sum
+  // (the counters, not wall time, which a loaded host stretches).
+  EXPECT_EQ(net->stats().delay_rounds(), 1u);
+  EXPECT_GE(net->stats().delay_requested_ns(), 4'000'000u);
+  EXPECT_LT(net->stats().delay_requested_ns(), 6'000'000u);
+  EXPECT_GE(elapsed, 4'000'000u);
+}
+
+TEST(Network, MulticallNeedsARequestPerTarget) {
+  auto net = make_net(2);
+  const Ping ping{1};
+  const std::vector<const Ping*> requests{&ping};
+  EXPECT_THROW(net->multicall(10, {0, 1}, requests), std::invalid_argument);
+}
+
 // ---- delay fidelity: the counters, not wall time ------------------------
 
 TEST(NetDelay, ZeroLatencyRoundsNeverCount) {

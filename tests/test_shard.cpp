@@ -9,9 +9,11 @@
 // derivation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -708,6 +710,229 @@ TEST(Coordinator, MispredictedFootprintFallsBackToCrossShard2pc) {
   EXPECT_EQ(router.stats().mispredicted, 1u);
   EXPECT_EQ(latest_sharded(cluster, map, home).value.fields[0], 45);
   EXPECT_EQ(latest_sharded(cluster, map, surprise).value.fields[0], 55);
+}
+
+// ---- round structure of a cross-shard commit -----------------------------
+
+harness::ClusterConfig timed_cluster(std::size_t groups) {
+  harness::ClusterConfig config = fast_cluster(groups);
+  config.base_latency = std::chrono::microseconds{25};
+  return config;
+}
+
+TEST(Coordinator, CrossShardPhasesTakeOneRoundEach) {
+  harness::Cluster cluster(timed_cluster(2));
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  const ObjectKey src{1, 5}, dst{1, 105}, other{1, 6};  // groups 0, 1, 0
+  for (const ObjectKey& key : {src, dst, other})
+    seed_sharded(cluster, map, key, Record{100});
+  cluster.flush_seeds();
+  const net::NetStats& stats = cluster.network().stats();
+  CrossShardCoordinator coordinator(cluster, router, 0);
+  CrossShardCoordinator rival(cluster, router, 1);
+
+  // A transfer: one round prepares both groups, one round commits both.
+  {
+    ShardTx tx = coordinator.begin(write_footprint({src, dst}));
+    const auto a = tx.read(src), b = tx.read(dst);
+    tx.write(src, Record{a.fields[0] - 1});
+    tx.write(dst, Record{b.fields[0] + 1});
+    const std::uint64_t before = stats.delay_rounds();
+    ASSERT_EQ(tx.prepare_all(), 2u);
+    EXPECT_EQ(stats.delay_rounds() - before, 1u);
+    const std::uint64_t prepared = stats.delay_rounds();
+    tx.commit_prepared();
+    EXPECT_EQ(stats.delay_rounds() - prepared, 1u);
+  }
+
+  // A rival overwrote the second key: one prepare round, one release round.
+  {
+    ShardTx tx = coordinator.begin(write_footprint({src, dst}));
+    const auto a = tx.read(src), b = tx.read(dst);
+    ShardTx overwrite = rival.begin(write_footprint({dst}));
+    overwrite.insert(dst, Record{7});
+    overwrite.commit();
+    tx.write(src, Record{a.fields[0] - 1});
+    tx.write(dst, Record{b.fields[0] + 1});
+    const std::uint64_t before = stats.delay_rounds();
+    EXPECT_THROW(tx.commit(), dtm::TxAbort);
+    EXPECT_EQ(stats.delay_rounds() - before, 2u);
+    EXPECT_EQ(total_protected(cluster), 0u);
+  }
+
+  // Reading a key it does not write adds the validation round: prepare,
+  // validate, phase two.
+  {
+    ShardTx tx = coordinator.begin(write_footprint({src, dst}));
+    const auto a = tx.read(src), b = tx.read(dst);
+    tx.read(other);
+    tx.write(src, Record{a.fields[0] - 1});
+    tx.write(dst, Record{b.fields[0] + 1});
+    const std::uint64_t before = stats.delay_rounds();
+    tx.commit();
+    EXPECT_EQ(stats.delay_rounds() - before, 3u);
+  }
+  EXPECT_EQ(latest_sharded(cluster, map, src).value.fields[0], 98);
+  EXPECT_EQ(latest_sharded(cluster, map, dst).value.fields[0], 8);
+  EXPECT_EQ(total_protected(cluster), 0u);
+  EXPECT_EQ(total_open_leases(cluster), 0u);
+}
+
+TEST(Coordinator, BusyLowerGroupIsRetriedWithoutHoldingAHigherOne) {
+  auto config = fast_cluster(2);
+  config.stub.retry.max_retries = 40;  // outlasts the rival's hold
+  harness::Cluster cluster(config);
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  const ObjectKey low{1, 5}, high{1, 105};  // groups 0 and 1
+  seed_sharded(cluster, map, low, Record{10});
+  seed_sharded(cluster, map, high, Record{10});
+  cluster.flush_seeds();
+
+  CrossShardCoordinator coordinator(cluster, router, 0);
+  ShardTx tx = coordinator.begin(write_footprint({low, high}));
+  const auto a = tx.read(low), b = tx.read(high);
+  tx.write(low, Record{a.fields[0] + 1});
+  tx.write(high, Record{b.fields[0] + 1});
+
+  // A rival's prepare holds `low` on a group-0 write quorum.
+  dtm::QuorumStub rival = cluster.make_group_stub(0, /*client_ordinal=*/9);
+  const dtm::PrepareTicket held = rival.prepare(0x77, {}, {low}, {1});
+  std::atomic<bool> committed{false};
+  std::thread commit([&] {
+    tx.commit();
+    committed = true;
+  });
+
+  // Wait until the commit has gone back to group 0 at least once after its
+  // first round (group 0's root sits in every write quorum and refuses each
+  // attempt once): by then group 1's grant must be gone.
+  dtm::Server& low_root =
+      cluster.server(static_cast<std::size_t>(cluster.group_members(0).front()));
+  const auto busy_on_low = [&] {
+    return low_root.stats().prepare_busy.load();
+  };
+  const auto start = std::chrono::steady_clock::now();
+  while (busy_on_low() < 2 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds{5})
+    std::this_thread::yield();
+  EXPECT_GE(busy_on_low(), 2u);
+  std::size_t high_protected = 0;
+  for (dtm::Server* server : cluster.group_servers(1))
+    high_protected += server->store().protected_count();
+  EXPECT_EQ(high_protected, 0u)
+      << "the commit retries group 0 while holding group 1";
+  EXPECT_FALSE(committed.load());
+
+  rival.abort(held);
+  commit.join();
+  EXPECT_TRUE(committed.load());
+  EXPECT_EQ(latest_sharded(cluster, map, low).value.fields[0], 11);
+  EXPECT_EQ(latest_sharded(cluster, map, high).value.fields[0], 11);
+  EXPECT_EQ(total_protected(cluster), 0u);
+}
+
+/// Runs `first` and `second` released together on two threads, each in a
+/// ShardTx of its own coordinator.  Each body reads the key the other
+/// writes and returns whether it saw that key still unwritten.  Returns
+/// true for a cycle: both committed, and each read a version the other
+/// overwrote, so no serial order explains the pair.
+bool cycle_of_pair(CrossShardCoordinator& one, CrossShardCoordinator& two,
+                   const std::function<bool(ShardTx&)>& first,
+                   const std::function<bool(ShardTx&)>& second) {
+  std::atomic<int> ready{0};
+  std::atomic<int> stale_commits{0};
+  const auto run = [&](CrossShardCoordinator& coordinator,
+                       const std::function<bool(ShardTx&)>& body) {
+    ShardTx tx = coordinator.begin();
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    try {
+      const bool stale = body(tx);
+      tx.commit();
+      if (stale) ++stale_commits;
+    } catch (const dtm::TxAbort&) {
+      tx.abort();
+    }
+  };
+  std::thread a([&] { run(one, first); });
+  std::thread b([&] { run(two, second); });
+  a.join();
+  b.join();
+  return stale_commits.load() == 2;
+}
+
+TEST(Coordinator, CrossGroupWriteSkewNeverCommitsBoth) {
+  // Each transaction reads a key the other writes, on different groups.
+  // If both commit having read the other's key unwritten, each read a
+  // version the other overwrote: a cycle no serial order explains.  When
+  // both find the other's protection in their validation round, each
+  // waits on its busy ladder until one gives up; a short ladder keeps
+  // those pairs quick and cannot let both commit.
+  auto config = timed_cluster(2);
+  config.stub.retry.max_retries = 3;
+  config.stub.retry.base = std::chrono::microseconds{10};
+  harness::Cluster cluster(config);
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  constexpr int kIterations = 200;
+  // Fresh keys per iteration, seeded 0 (every write makes them >= 1):
+  // id 200*i + 5 and +6 on group 0, +105 on group 1.
+  const auto key = [](int i, int offset) {
+    return ObjectKey{1, static_cast<std::uint64_t>(200 * i + offset)};
+  };
+  for (int i = 0; i < 2 * kIterations; ++i)
+    for (const int offset : {5, 6, 105})
+      seed_sharded(cluster, map, key(i, offset), Record{0});
+  cluster.flush_seeds();
+  CrossShardCoordinator one(cluster, router, 0);
+  CrossShardCoordinator two(cluster, router, 1);
+
+  // Shape 1: T1 reads x@g1 and y@g0 and writes y; T2 reads both and
+  // writes x.
+  int cycles = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const ObjectKey y = key(i, 5), x = key(i, 105);
+    cycles += cycle_of_pair(
+        one, two,
+        [&](ShardTx& tx) {
+          const bool stale = tx.read(x).fields[0] == 0;
+          tx.write(y, Record{tx.read(y).fields[0] + 1});
+          return stale;
+        },
+        [&](ShardTx& tx) {
+          const bool stale = tx.read(y).fields[0] == 0;
+          tx.write(x, Record{tx.read(x).fields[0] + 1});
+          return stale;
+        });
+  }
+  EXPECT_EQ(cycles, 0) << "shape 1: a cycle committed in " << cycles
+                       << " of " << kIterations;
+
+  // Shape 2: T1 reads k@g0 and writes m@g0 and j@g1; T2 reads k and j and
+  // writes k.  T1 writes both groups, so validating only read-only groups
+  // late would not catch it.
+  cycles = 0;
+  for (int i = kIterations; i < 2 * kIterations; ++i) {
+    const ObjectKey k = key(i, 5), m = key(i, 6), j = key(i, 105);
+    cycles += cycle_of_pair(
+        one, two,
+        [&](ShardTx& tx) {
+          const auto seen = tx.read(k);
+          tx.write(m, Record{seen.fields[0] + tx.read(m).fields[0] + 1});
+          tx.write(j, Record{tx.read(j).fields[0] + 1});
+          return seen.fields[0] == 0;
+        },
+        [&](ShardTx& tx) {
+          const auto seen = tx.read(j);
+          tx.write(k, Record{tx.read(k).fields[0] + seen.fields[0] + 1});
+          return seen.fields[0] == 0;
+        });
+  }
+  EXPECT_EQ(cycles, 0) << "shape 2: a cycle committed in " << cycles
+                       << " of " << kIterations;
+  EXPECT_EQ(total_protected(cluster), 0u);
 }
 
 // ---- DecisionLog ---------------------------------------------------------

@@ -174,6 +174,30 @@ TEST(TcpLoopback, MulticallFansOutAcrossPeers) {
   }
 }
 
+TEST(TcpLoopback, MulticallSendsEachTargetItsOwnRequest) {
+  auto a = make_echo_server();
+  auto b = make_echo_server(/*delay=*/40ms, /*slow_tx=*/7);
+  TcpTransportConfig config;
+  config.call_timeout = 2000ms;
+  TcpTransport transport({{0, {"127.0.0.1", a->port()}},
+                          {1, {"127.0.0.1", b->port()}}},
+                         config);
+  const dtm::Request fast = read_request(3), slow = read_request(7);
+  const std::vector<const dtm::Request*> requests{&fast, &slow, &fast};
+  const Stopwatch watch;
+  const auto results = transport.multicall(100, {0, 1, 0}, requests);
+  // The caller waits for the slowest reply, once.
+  EXPECT_GE(watch.elapsed_ns(), 40'000'000u);
+  ASSERT_EQ(results.size(), 3u);
+  const std::vector<store::Version> expected{3, 7, 3};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << i;
+    const auto& rr = std::get<dtm::ReadResponse>(results[i].response.payload);
+    EXPECT_EQ(rr.record.version, expected[i]) << i;
+    EXPECT_EQ(rr.record.value.fields[1], 100) << i;  // sender round-tripped
+  }
+}
+
 TEST(TcpLoopback, NodeDownFailsFastAndRecovers) {
   auto server = make_echo_server();
   auto transport = dial(server->port());
