@@ -2,7 +2,9 @@
 # Run the release gate benches and fold their metrics snapshots into one
 # BENCH_9.json, so every release carries a comparable perf trajectory point.
 #
-# Gates (each exits non-zero on a regression, failing the script):
+# Gates (each exits non-zero on a regression; every gate runs even when an
+# earlier one failed, each prints a PASS/FAIL line with its exit code, and
+# the script exits non-zero when any gate failed):
 #   abl_scheduler       contention-aware scheduling beats optimistic racing
 #                       (plain, --durability=wal, and --chaos-burst variants)
 #   abl_partition       partition-and-heal: lease expiry + catch-up
@@ -59,23 +61,42 @@ declare -A GATES=(
 ORDER=(scheduler scheduler_wal scheduler_chaos partition recovery batching
        shardscale shardscale_tpcc indoubt queue)
 
+declare -A STATUS=()
 for name in "${ORDER[@]}"; do
   echo "=== gate: $name ==="
+  rc=0
   # shellcheck disable=SC2086  # intentional word splitting of the command
-  ${GATES[$name]} --metrics-json "$WORK/$name.json"
+  ${GATES[$name]} --metrics-json "$WORK/$name.json" || rc=$?
+  STATUS[$name]=$rc
+done
+
+echo "=== gate summary ==="
+failed=0
+for name in "${ORDER[@]}"; do
+  if [ "${STATUS[$name]}" -eq 0 ]; then
+    echo "PASS $name (exit 0)"
+  else
+    echo "FAIL $name (exit ${STATUS[$name]})"
+    failed=1
+  fi
 done
 
 python3 - "$OUT" "$WORK" "${ORDER[@]}" <<'EOF'
-import json, subprocess, sys
+import json, os, subprocess, sys
 
 out, work, names = sys.argv[1], sys.argv[2], sys.argv[3:]
 rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
                      capture_output=True, text=True).stdout.strip() or None
 snapshot = {"git": rev, "gates": {}}
 for name in names:
-    with open(f"{work}/{name}.json") as f:
+    path = f"{work}/{name}.json"
+    if not os.path.exists(path):
+        print(f"{name}: wrote no metrics JSON")
+        continue
+    with open(path) as f:
         snapshot["gates"][name] = json.load(f)
 with open(out, "w") as f:
     json.dump(snapshot, f, indent=1, sort_keys=True)
-print(f"wrote {out} ({len(names)} gates)")
+print(f"wrote {out} ({len(snapshot['gates'])} of {len(names)} gates)")
 EOF
+exit "$failed"

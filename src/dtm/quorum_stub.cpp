@@ -25,28 +25,118 @@ void merge_contention(std::vector<std::uint64_t>& into,
     into[i] = std::max(into[i], from[i]);
 }
 
-/// The rpc.* counter and span name of a round's request kind (the kinds a
-/// shared round carries).
-std::pair<obs::MetricsRegistry::Counter*, const char*> rpc_kind(
-    obs::Observability& o, const Request& request) {
-  if (std::holds_alternative<PrepareRequest>(request.payload))
-    return {&o.rpc_prepares, "rpc.prepare"};
-  if (std::holds_alternative<ValidateRequest>(request.payload))
-    return {&o.rpc_validates, "rpc.validate"};
-  if (std::holds_alternative<CommitRequest>(request.payload))
-    return {&o.rpc_commits, "rpc.commit"};
-  return {&o.rpc_aborts, "rpc.abort"};
+/// A judge's reading of one round.  kDone with a refusal is final (a
+/// validation failure, or a replica of another group); kBusy and
+/// kUnreachable go back on the ladder.
+struct Verdict {
+  RoundStatus status = RoundStatus::kDone;
+  std::optional<TxAbort> refusal;
+};
+
+/// A validation round over `replies`.
+Verdict judge_validate(std::span<const net::CallResult<Response>> replies) {
+  std::vector<ObjectKey> invalid;
+  bool any_busy = false;
+  std::size_t reachable = 0;
+  for (const auto& result : replies) {
+    if (!result.ok()) continue;
+    ++reachable;
+    const auto& res = std::get<ValidateResponse>(result.response.payload);
+    merge_invalid(invalid, res.invalid);
+    any_busy = any_busy || res.busy;
+  }
+  Verdict verdict;
+  if (!invalid.empty())
+    verdict.refusal.emplace(AbortKind::kValidation, std::move(invalid));
+  // An unreachable quorum must not pass as "nobody refuted the checks" —
+  // re-select until someone actually answers.
+  else if (reachable == 0)
+    verdict.status = RoundStatus::kUnreachable;
+  // Some checked object is protected by an in-flight commit: retry until
+  // the commit settles and validation can answer definitively.
+  else if (any_busy)
+    verdict.status = RoundStatus::kBusy;
+  return verdict;
 }
 
-TxId tx_of(const Request& request) {
-  return std::visit(
-      [](const auto& payload) -> TxId {
-        if constexpr (requires { payload.tx; })
-          return payload.tx;
-        else
-          return 0;
-      },
-      request.payload);
+/// A prepare round's verdict.  Granted (kDone, no refusal): `ticket` binds
+/// the whole quorum.  Otherwise `ticket` names the members a release must
+/// reach — those that answered kOk or whose reply was lost — and may be
+/// empty.
+struct PrepareVerdict : Verdict {
+  PrepareTicket ticket;
+  bool granted() const noexcept {
+    return status == RoundStatus::kDone && !refusal;
+  }
+};
+
+/// `call`'s round on `quorum`: granted when every member granted.
+PrepareVerdict judge_prepare(
+    const PrepareCall& call, const std::vector<net::NodeId>& quorum,
+    std::span<const net::CallResult<Response>> replies) {
+  const auto& req = std::get<PrepareRequest>(call.request.payload);
+  const std::vector<ObjectKey>& write_keys = req.write_keys;
+  std::vector<ObjectKey> invalid;
+  bool any_busy = false;
+  bool any_wrong_group = false;
+  std::vector<Version> current(write_keys.size(), 0);
+  std::size_t ok_count = 0;
+  PrepareVerdict verdict;
+  PrepareTicket& ticket = verdict.ticket;
+  ticket.tx = req.tx;
+  ticket.keys = write_keys;
+
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const auto& result = replies[i];
+    if (!result.ok()) {
+      // A lost reply may hide a grant; a refused or partitioned request
+      // reached no one.
+      if (result.error == net::NetErrorCode::kDropped)
+        ticket.quorum.push_back(quorum[i]);
+      continue;
+    }
+    const auto& res = std::get<PrepareResponse>(result.response.payload);
+    switch (res.code) {
+      case PrepareCode::kOk:
+        ++ok_count;
+        ticket.quorum.push_back(quorum[i]);
+        for (std::size_t k = 0; k < res.current_versions.size(); ++k)
+          current[k] = std::max(current[k], res.current_versions[k]);
+        break;
+      // A refusing replica undid its own protections before answering.
+      case PrepareCode::kBusy:
+        any_busy = true;
+        break;
+      case PrepareCode::kInvalid:
+        merge_invalid(invalid, res.invalid);
+        break;
+      case PrepareCode::kWrongGroup:
+        any_wrong_group = true;
+        break;
+    }
+  }
+
+  if (ok_count == replies.size()) {
+    ticket.new_versions.reserve(write_keys.size());
+    for (std::size_t k = 0; k < write_keys.size(); ++k) {
+      const Version floor_version = std::max(
+          current[k],
+          k < call.read_versions.size() ? call.read_versions[k] : 0);
+      ticket.new_versions.push_back(floor_version + 1);
+    }
+    return verdict;
+  }
+  // A wrong-group refusal is deterministic (the replica's group is fixed),
+  // so retrying the quorum cannot help — fail the operation.
+  if (any_wrong_group)
+    verdict.refusal.emplace(AbortKind::kUnavailable, write_keys);
+  else if (!invalid.empty())
+    verdict.refusal.emplace(AbortKind::kValidation, std::move(invalid));
+  // A partly-down write quorum is not fatal: another write quorum that
+  // avoids the down nodes may exist, so re-select like read() does.
+  else
+    verdict.status = any_busy ? RoundStatus::kBusy : RoundStatus::kUnreachable;
+  return verdict;
 }
 
 }  // namespace
@@ -69,8 +159,7 @@ void QuorumStub::backoff(int attempt) {
 }
 
 void QuorumStub::retry_ladder(const std::vector<ObjectKey>& blame,
-                              const std::function<RoundStatus()>& round,
-                              std::optional<RoundStatus> ran) {
+                              const std::function<RoundStatus()>& round) {
   const std::uint64_t deadline_ns =
       static_cast<std::uint64_t>(config_.op_deadline.count());
   Stopwatch watch;
@@ -79,8 +168,8 @@ void QuorumStub::retry_ladder(const std::vector<ObjectKey>& blame,
   };
   int busy_attempts = 0;
   int quorum_attempts = 0;
-  for (RoundStatus status = ran ? *ran : round();; status = round()) {
-    switch (status) {
+  for (;;) {
+    switch (round()) {
       case RoundStatus::kDone:
         return;
       case RoundStatus::kBusy:
@@ -119,24 +208,18 @@ void QuorumStub::verify_responses(
 
 std::vector<std::vector<net::CallResult<Response>>> QuorumStub::exchange(
     std::span<const RoundPart> parts) {
+  std::vector<std::vector<net::CallResult<Response>>> out;
+  if (parts.empty()) return out;
   std::vector<net::NodeId> targets;
   std::vector<const Request*> requests;
-  obs::Observability* o = config_.obs;
   for (const RoundPart& part : parts) {
     if (config_.verify_codec && !(roundtrip(*part.request) == *part.request))
       throw std::logic_error("codec round-trip mismatch on request");
-    if (o != nullptr) rpc_kind(*o, *part.request).first->add();
     targets.insert(targets.end(), part.quorum.begin(), part.quorum.end());
     requests.insert(requests.end(), part.quorum.size(), part.request);
   }
-  obs::Tracer::Span span;
-  if (o != nullptr && !parts.empty())
-    span.restart(&o->tracer, rpc_kind(*o, *parts.front().request).second,
-                 "2pc", tx_of(*parts.front().request), "groups",
-                 static_cast<std::int64_t>(parts.size()));
   auto results = transport_->multicall(client_node_, targets, requests);
   verify_responses(results);
-  std::vector<std::vector<net::CallResult<Response>>> out;
   out.reserve(parts.size());
   auto next = std::make_move_iterator(results.begin());
   for (const RoundPart& part : parts) {
@@ -303,57 +386,184 @@ BatchedReadOutcome QuorumStub::read_many(
   return out;
 }
 
-void QuorumStub::validate(TxId tx, const std::vector<VersionCheck>& checks,
-                          std::optional<RoundStatus> ran) {
-  if (checks.empty()) return;
+std::vector<std::optional<PrepareTicket>> QuorumStub::phase_one(
+    std::span<const PreparePart> parts) {
+  std::vector<std::optional<PrepareTicket>> tickets(parts.size());
+  std::vector<std::size_t> writers;  // the parts prepared
+  for (std::size_t i = 0; i < parts.size(); ++i)
+    if (parts[i].call) writers.push_back(i);
+  // The unwritten reads are validated across several groups, or when
+  // nothing is written (see the header).
+  std::vector<std::size_t> checked;  // the parts validated
+  std::vector<Request> validations;  // aligned with `checked`
+  if (parts.size() > 1 || writers.empty())
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      if (!parts[i].unwritten.empty()) {
+        checked.push_back(i);
+        validations.push_back(
+            {ValidateRequest{parts[i].tx, parts[i].unwritten}});
+      }
+  if (writers.empty() && checked.empty()) return tickets;
+
+  QuorumStub& lead = *parts.front().stub;
+  obs::Observability* o = lead.config_.obs;
   obs::Tracer::Span span;
-  if (obs::Observability* o = config_.obs) {
-    o->rpc_validates.add();
-    span.restart(&o->tracer, "rpc.validate", "rpc", tx, "checks",
-                 static_cast<std::int64_t>(checks.size()));
+  obs::ScopedLatency latency;
+  if (o != nullptr) {
+    const bool writes = !writers.empty();
+    o->rpc_prepares.add(writers.size());
+    span.restart(&o->tracer, writes ? "rpc.prepare" : "rpc.validate",
+                 writes ? "2pc" : "rpc", parts.front().tx, "groups",
+                 static_cast<std::int64_t>(parts.size()));
+    latency.arm(o->rpc_prepare_ns, writers.size());
   }
-  const Request request = validate_request(tx, checks);
-  retry_ladder(
-      {},
-      [&]() -> RoundStatus {
-        const auto quorum = pick_read_quorum();
-        Verdict verdict = judge_validate(exchange(quorum, request));
-        if (verdict.refusal) throw std::move(*verdict.refusal);
-        return verdict.status;
-      },
-      ran);
+  bool validated = false;
+  std::vector<ObjectKey> blame;  // write keys of the groups a rung must retry
+  lead.retry_ladder(blame, [&]() -> RoundStatus {
+    RoundStatus status = RoundStatus::kDone;
+    std::optional<TxAbort> refusal;
+    const auto judge = [&](Verdict verdict) {
+      if (verdict.refusal) {
+        if (!refusal) refusal = std::move(verdict.refusal);
+      } else if (verdict.status == RoundStatus::kBusy ||
+                 status == RoundStatus::kDone) {
+        status = verdict.status;  // a busy group outranks an unreachable one
+      }
+    };
+
+    // Prepare every part that writes, in one round.
+    std::vector<RoundPart> round;
+    for (const std::size_t w : writers)
+      round.push_back(
+          {parts[w].stub->pick_write_quorum(), &parts[w].call->request});
+    const auto prepared = lead.exchange(round);
+    // What the refused prepares may hold: the members that granted, or
+    // whose reply was lost.
+    std::vector<PrepareTicket> loose;
+    std::vector<HeldPart> held;
+    loose.reserve(writers.size());
+    blame.clear();
+    for (std::size_t r = 0; r < writers.size(); ++r) {
+      const PreparePart& part = parts[writers[r]];
+      PrepareVerdict verdict =
+          judge_prepare(*part.call, round[r].quorum, prepared[r]);
+      if (verdict.granted()) {
+        tickets[writers[r]] = std::move(verdict.ticket);
+        continue;
+      }
+      if (!verdict.refusal)
+        blame.insert(blame.end(), verdict.ticket.keys.begin(),
+                     verdict.ticket.keys.end());
+      loose.push_back(std::move(verdict.ticket));
+      held.push_back({part.stub, &loose.back()});
+      judge(std::move(verdict));
+    }
+
+    // Then, every grant held, validate the unwritten reads in one more.
+    if (!refusal && status == RoundStatus::kDone && !checked.empty()) {
+      if (o != nullptr && !validated) o->rpc_validates.add(checked.size());
+      validated = true;
+      round.clear();
+      for (std::size_t c = 0; c < checked.size(); ++c)
+        round.push_back(
+            {parts[checked[c]].stub->pick_read_quorum(), &validations[c]});
+      for (const auto& replies : lead.exchange(round))
+        judge(judge_validate(replies));
+    }
+    if (!refusal && status == RoundStatus::kDone) return RoundStatus::kDone;
+
+    // A failed rung holds nothing past this point: the grants go with what
+    // the refused prepares may hold, in one round.
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      if (tickets[i]) held.push_back({parts[i].stub, &*tickets[i]});
+    release(held);
+    for (auto& ticket : tickets) ticket.reset();
+    if (refusal) throw std::move(*refusal);
+    return status;
+  });
+  return tickets;
 }
 
-Request QuorumStub::validate_request(TxId tx,
-                                     const std::vector<VersionCheck>& checks) {
-  Request request;
-  request.payload = ValidateRequest{tx, checks};
-  return request;
+std::vector<std::exception_ptr> QuorumStub::phase_two(
+    std::span<const HeldPart> parts) {
+  std::vector<std::exception_ptr> outcomes(parts.size());
+  if (parts.empty()) return outcomes;
+  QuorumStub& lead = *parts.front().stub;
+  obs::Observability* o = lead.config_.obs;
+  obs::Tracer::Span span;
+  const std::uint64_t start = now_ns();
+  if (o != nullptr) {
+    o->rpc_commits.add(parts.size());
+    span.restart(&o->tracer, "rpc.commit", "2pc", parts.front().ticket->tx,
+                 "groups", static_cast<std::int64_t>(parts.size()));
+  }
+  std::vector<Request> requests;
+  requests.reserve(parts.size());
+  std::vector<RoundPart> round;
+  for (const HeldPart& part : parts) {
+    const PrepareTicket& ticket = *part.ticket;
+    requests.push_back({CommitRequest{ticket.tx, ticket.keys, *part.values,
+                                      ticket.new_versions,
+                                      part.stub->config_.group}});
+    round.push_back({ticket.quorum, &requests.back()});
+  }
+  const auto replies = lead.exchange(round);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    try {
+      parts[i].stub->settle_commit(*parts[i].ticket, requests[i], replies[i]);
+    } catch (...) {
+      outcomes[i] = std::current_exception();
+    }
+    if (o != nullptr) o->rpc_commit_ns.observe(now_ns() - start);
+  }
+  return outcomes;
 }
 
-Verdict QuorumStub::judge_validate(Replies replies) {
-  std::vector<ObjectKey> invalid;
-  bool any_busy = false;
-  std::size_t reachable = 0;
-  for (const auto& result : replies) {
-    if (!result.ok()) continue;
-    ++reachable;
-    const auto& res = std::get<ValidateResponse>(result.response.payload);
-    merge_invalid(invalid, res.invalid);
-    any_busy = any_busy || res.busy;
+void QuorumStub::release(std::span<const HeldPart> parts) {
+  std::vector<Request> requests;
+  requests.reserve(parts.size());
+  std::vector<RoundPart> round;
+  std::vector<QuorumStub*> stubs;
+  for (const HeldPart& part : parts) {
+    if (part.ticket->quorum.empty()) continue;
+    requests.push_back({AbortRequest{part.ticket->tx, part.ticket->keys}});
+    round.push_back({part.ticket->quorum, &requests.back()});
+    stubs.push_back(part.stub);
   }
-  Verdict verdict;
-  if (!invalid.empty())
-    verdict.refusal.emplace(AbortKind::kValidation, std::move(invalid));
-  // An unreachable quorum must not pass as "nobody refuted the checks" —
-  // re-select until someone actually answers.
-  else if (reachable == 0)
-    verdict.status = RoundStatus::kUnreachable;
-  // Some checked object is protected by an in-flight commit: retry until
-  // the commit settles and validation can answer definitively.
-  else if (any_busy)
-    verdict.status = RoundStatus::kBusy;
-  return verdict;
+  if (round.empty()) return;
+  if (obs::Observability* o = stubs.front()->config_.obs)
+    o->rpc_aborts.add(round.size());
+  const auto replies = stubs.front()->exchange(round);
+  for (std::size_t i = 0; i < round.size(); ++i)
+    stubs[i]->settle_release(round[i].quorum, requests[i], replies[i]);
+}
+
+void QuorumStub::validate(TxId tx, const std::vector<VersionCheck>& checks) {
+  const PreparePart part{this, tx, std::nullopt, checks};
+  phase_one({&part, 1});
+}
+
+PrepareTicket QuorumStub::prepare(TxId tx,
+                                  const std::vector<VersionCheck>& read_checks,
+                                  const std::vector<ObjectKey>& write_keys,
+                                  const std::vector<Version>& read_versions,
+                                  const PrepareExtras& extras) {
+  const PreparePart part{
+      this, tx,
+      prepare_call(tx, read_checks, write_keys, read_versions, extras), {}};
+  return std::move(*phase_one({&part, 1}).front());
+}
+
+void QuorumStub::commit(const PrepareTicket& ticket,
+                        const std::vector<Record>& values) {
+  const HeldPart part{this, &ticket, &values};
+  if (const std::exception_ptr failure = phase_two({&part, 1}).front())
+    std::rethrow_exception(failure);
+}
+
+void QuorumStub::abort(const PrepareTicket& ticket) {
+  const HeldPart part{this, &ticket};
+  release({&part, 1});
 }
 
 PrepareCall QuorumStub::prepare_call(
@@ -369,128 +579,6 @@ PrepareCall QuorumStub::prepare_call(
   call.request.payload = std::move(prepare_req);
   call.read_versions = read_versions;
   return call;
-}
-
-PrepareTicket QuorumStub::prepare(const PrepareCall& call,
-                                  std::optional<RoundStatus> ran) {
-  const auto& req = std::get<PrepareRequest>(call.request.payload);
-  obs::Tracer::Span span;
-  obs::ScopedLatency latency;
-  if (obs::Observability* o = config_.obs) {
-    o->rpc_prepares.add();
-    span.restart(&o->tracer, "rpc.prepare", "2pc", req.tx, "writes",
-                 static_cast<std::int64_t>(req.write_keys.size()));
-    latency.arm(o->rpc_prepare_ns);
-  }
-  PrepareTicket ticket;
-  retry_ladder(
-      req.write_keys,
-      [&]() -> RoundStatus {
-        const auto quorum = pick_write_quorum();
-        PrepareVerdict verdict =
-            judge_prepare(call, quorum, exchange(quorum, call.request));
-        if (verdict.granted()) {
-          ticket = std::move(verdict.ticket);
-          return RoundStatus::kDone;
-        }
-        release(req.tx, req.write_keys, verdict.release);
-        if (verdict.refusal) throw std::move(*verdict.refusal);
-        return verdict.status;
-      },
-      ran);
-  return ticket;
-}
-
-PrepareVerdict QuorumStub::judge_prepare(const PrepareCall& call,
-                                         const std::vector<net::NodeId>& quorum,
-                                         Replies replies) {
-  const auto& req = std::get<PrepareRequest>(call.request.payload);
-  const std::vector<ObjectKey>& write_keys = req.write_keys;
-  std::vector<ObjectKey> invalid;
-  bool any_busy = false;
-  bool any_wrong_group = false;
-  std::vector<Version> current(write_keys.size(), 0);
-  std::size_t ok_count = 0;
-  PrepareVerdict verdict;
-
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    const auto& result = replies[i];
-    if (!result.ok()) {
-      // A lost reply may hide a grant; a refused or partitioned request
-      // reached no one.
-      if (result.error == net::NetErrorCode::kDropped)
-        verdict.release.push_back(quorum[i]);
-      continue;
-    }
-    const auto& res = std::get<PrepareResponse>(result.response.payload);
-    switch (res.code) {
-      case PrepareCode::kOk:
-        ++ok_count;
-        verdict.release.push_back(quorum[i]);
-        for (std::size_t k = 0; k < res.current_versions.size(); ++k)
-          current[k] = std::max(current[k], res.current_versions[k]);
-        break;
-      // A refusing replica undid its own protections before answering.
-      case PrepareCode::kBusy:
-        any_busy = true;
-        break;
-      case PrepareCode::kInvalid:
-        merge_invalid(invalid, res.invalid);
-        break;
-      case PrepareCode::kWrongGroup:
-        any_wrong_group = true;
-        break;
-    }
-  }
-
-  if (ok_count == replies.size()) {
-    verdict.release.clear();
-    PrepareTicket& ticket = verdict.ticket;
-    ticket.tx = req.tx;
-    ticket.quorum = quorum;
-    ticket.keys = write_keys;
-    ticket.new_versions.reserve(write_keys.size());
-    for (std::size_t k = 0; k < write_keys.size(); ++k) {
-      const Version floor_version = std::max(
-          current[k],
-          k < call.read_versions.size() ? call.read_versions[k] : 0);
-      ticket.new_versions.push_back(floor_version + 1);
-    }
-    return verdict;
-  }
-  // A wrong-group refusal is deterministic (the replica's group is fixed),
-  // so retrying the quorum cannot help — fail the operation.
-  if (any_wrong_group)
-    verdict.refusal.emplace(AbortKind::kUnavailable, write_keys);
-  else if (!invalid.empty())
-    verdict.refusal.emplace(AbortKind::kValidation, std::move(invalid));
-  // A partly-down write quorum is not fatal: another write quorum that
-  // avoids the down nodes may exist, so re-select like read() does.
-  else
-    verdict.status = any_busy ? RoundStatus::kBusy : RoundStatus::kUnreachable;
-  return verdict;
-}
-
-void QuorumStub::commit(const PrepareTicket& ticket,
-                        const std::vector<Record>& values) {
-  obs::Tracer::Span span;
-  obs::ScopedLatency latency;
-  if (obs::Observability* o = config_.obs) {
-    o->rpc_commits.add();
-    span.restart(&o->tracer, "rpc.commit", "2pc", ticket.tx, "writes",
-                 static_cast<std::int64_t>(ticket.keys.size()));
-    latency.arm(o->rpc_commit_ns);
-  }
-  const Request request = commit_request(ticket, values);
-  settle_commit(ticket, request, exchange(ticket.quorum, request));
-}
-
-Request QuorumStub::commit_request(const PrepareTicket& ticket,
-                                   const std::vector<Record>& values) const {
-  Request request;
-  request.payload = CommitRequest{ticket.tx, ticket.keys, values,
-                                  ticket.new_versions, config_.group};
-  return request;
 }
 
 void QuorumStub::settle_commit(const PrepareTicket& ticket,
@@ -543,25 +631,6 @@ void QuorumStub::settle_commit(const PrepareTicket& ticket,
     throw TxAbort(AbortKind::kBusy, ticket.keys, AbortDetail::kLeaseExpired);
   }
   if (acked == 0) throw TxAbort(AbortKind::kUnavailable, ticket.keys);
-}
-
-void QuorumStub::abort(const PrepareTicket& ticket) {
-  release(ticket.tx, ticket.keys, ticket.quorum);
-}
-
-Request QuorumStub::release_request(TxId tx,
-                                    const std::vector<ObjectKey>& keys) {
-  Request request;
-  request.payload = AbortRequest{tx, keys};
-  return request;
-}
-
-void QuorumStub::release(TxId tx, const std::vector<ObjectKey>& keys,
-                         const std::vector<net::NodeId>& members) {
-  if (members.empty()) return;
-  if (obs::Observability* o = config_.obs) o->rpc_aborts.add();
-  const Request request = release_request(tx, keys);
-  settle_release(members, request, exchange(members, request));
 }
 
 void QuorumStub::settle_release(const std::vector<net::NodeId>& members,

@@ -9,36 +9,34 @@
 //   * read_many: like read for N independent keys in ONE quorum round — the
 //     batched path the executor uses when the UnitGraph proves several
 //     remote accesses have no data dependency between their keys;
-//   * prepare/commit/abort: two-phase commit over one write quorum — the
-//     same nodes must see prepare, then commit or abort, so prepare returns
-//     a ticket binding the chosen quorum;
+//   * phase_one / phase_two / release: two-phase commit over one write
+//     quorum per group — the same nodes must see prepare, then commit or
+//     abort, so phase one returns a ticket binding each group's chosen
+//     quorum.  Each takes one part per quorum group and runs every round
+//     of its phase as ONE multicall over all the groups (a coordinator's
+//     per-group stubs share the client's transport and node id);
+//     prepare/validate/commit/abort are the one-group case;
 //   * contention: fetch per-class contention levels for the Dynamic Module,
 //     either stand-alone or piggybacked on reads.
-// read, read_many, validate and prepare all climb one shared retry ladder:
+// read, read_many and phase one all climb one shared retry ladder:
 // transient busy replies back off and retry, unreachable quorums re-select
 // around the down nodes, each rung has its own cap, and an optional
 // wall-clock deadline (op_deadline) bounds the whole climb so a faulted
-// network cannot stall a transaction past its budget.
+// network cannot stall a transaction past its budget.  Phase one never
+// backs off holding a grant: a rung that finds a group busy or unreachable
+// first releases everything the rung acquired.
 //
-// commit() re-sends phase two to members whose ack was lost (dropped
-// request or response leg) — servers acknowledge replays idempotently — and
-// converts a lease-expired verdict into TxAbort so the executor retries the
+// Phase two re-sends to members whose ack was lost (dropped request or
+// response leg) — servers acknowledge replays idempotently — and converts a
+// lease-expired verdict into TxAbort so the executor retries the
 // transaction from scratch (presumed abort).  A refused prepare releases
 // only the members that granted it or whose reply was lost: a replica that
 // refused undid its own protections before answering.
-//
-// The validate, prepare, commit and abort rounds are also available split
-// in two, a request builder and a reply judge, so that a caller holding one
-// stub per quorum group (shard::ShardTx) can run several groups' rounds as
-// ONE multicall (exchange over RoundParts) and hand each group's replies to
-// its stub: the judges read them exactly as the stub's own rounds do, the
-// ladders continue from a round that already ran (`ran`), and settle_commit
-// / settle_release run the phase-two replay loop from a first round's
-// replies.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <span>
@@ -108,16 +106,6 @@ enum class RoundStatus {
   kUnreachable,  // quorum not (fully) reachable: re-select and retry
 };
 
-/// One group's share of a round: the quorum it targets and the request
-/// every member of it gets (owned by the caller, alive through the round).
-struct RoundPart {
-  std::vector<net::NodeId> quorum;
-  const Request* request = nullptr;
-};
-
-/// A round's replies for one part, aligned with its quorum.
-using Replies = std::span<const net::CallResult<Response>>;
-
 /// Binds a prepared two-phase commit to the quorum that granted it.
 struct PrepareTicket {
   TxId tx = 0;
@@ -138,7 +126,7 @@ struct PrepareExtras {
   std::vector<Record> values;
 };
 
-/// One group's prepare, built once and sent in every round of its ladder:
+/// One group's prepare, built once and sent in every rung of its ladder:
 /// the PrepareRequest and, per write key, the version the transaction read
 /// (0 for blind inserts) so new versions advance past both the replicas'
 /// and the reader's view.
@@ -147,25 +135,25 @@ struct PrepareCall {
   std::vector<Version> read_versions;  // aligned with the write keys
 };
 
-/// A judge's reading of one round.  kDone with a refusal is final (a
-/// validation failure, or a replica of another group); kBusy and
-/// kUnreachable go back on the ladder.
-struct Verdict {
-  RoundStatus status = RoundStatus::kDone;
-  std::optional<TxAbort> refusal;
+class QuorumStub;
+
+/// One quorum group's share of a commit's phase one: the group's stub, the
+/// prepare of the transaction's writes there (none when it writes nothing
+/// there), and the checks of the reads it did not write there.
+struct PreparePart {
+  QuorumStub* stub = nullptr;
+  TxId tx = 0;
+  std::optional<PrepareCall> call;
+  std::vector<VersionCheck> unwritten;
 };
 
-/// A prepare round's verdict: granted (kDone, no refusal) with `ticket`,
-/// or not, with the members a release must reach in `release`.
-struct PrepareVerdict : Verdict {
-  PrepareTicket ticket;
-  /// Members that may hold the round's protections: they answered kOk, or
-  /// their reply was lost.  Empty when granted (release the ticket's
-  /// quorum instead).
-  std::vector<net::NodeId> release;
-  bool granted() const noexcept {
-    return status == RoundStatus::kDone && !refusal;
-  }
+/// One group's share of phase two or of a release: the stub of the group
+/// that granted `ticket` and, for phase two, the values to install (aligned
+/// with ticket->keys).
+struct HeldPart {
+  QuorumStub* stub = nullptr;
+  const PrepareTicket* ticket = nullptr;
+  const std::vector<Record>* values = nullptr;
 };
 
 class QuorumStub {
@@ -193,79 +181,72 @@ class QuorumStub {
                                const std::vector<VersionCheck>& validate,
                                const std::vector<ClassId>& want_contention = {});
 
-  /// Stand-alone incremental validation; throws TxAbort(kValidation) when
-  /// any replica refutes a check.  `ran` is the status of a round the
-  /// caller already ran for these checks (a shared round): the ladder
-  /// counts it and climbs on from there.
-  void validate(TxId tx, const std::vector<VersionCheck>& checks,
-                std::optional<RoundStatus> ran = std::nullopt);
+  /// Phase one of a commit, one part per quorum group, as ONE retry ladder.
+  /// Each rung prepares every part that writes in one round; when there are
+  /// several parts, or none writes, it then validates every part's
+  /// unwritten reads in one more round while every grant is held (Silo's
+  /// lock-then-validate order: of two transactions that each read what the
+  /// other writes, one finds the other's protection; on one group the
+  /// prepare validated them under its own protections already).  A
+  /// validation failure or a replica of another group releases, in one
+  /// round, every grant and every member a refused prepare may still hold,
+  /// and throws TxAbort.  A busy or unreachable group releases the same
+  /// way before the rung backs off (busy) or re-picks the quorums
+  /// (unreachable), so the ladder never waits holding a grant; when it runs
+  /// out, TxAbort(kBusy / kUnavailable) names the write keys of the groups
+  /// whose prepares kept it climbing.  Returns each part's ticket (none for
+  /// a part that writes nothing).  The first part's stub supplies the
+  /// transport, the retry policy and the obs bundle; each part's stub picks
+  /// its own group's quorums.
+  static std::vector<std::optional<PrepareTicket>> phase_one(
+      std::span<const PreparePart> parts);
 
-  /// Phase one of commit.  `write_keys` must be sorted ascending;
+  /// Phase two: install each part's values in ONE round to every ticket's
+  /// quorum, then replay to each group's members whose ack was lost, up to
+  /// max_commit_replays rounds (servers treat replays idempotently).
+  /// Returns each part's outcome: null, or what commit() would throw for
+  /// it — TxAbort(kBusy) if a member reports the prepare lease expired
+  /// (presumed abort — the write did not take effect there and must not be
+  /// assumed durable), TxAbort(kUnavailable) if not a single member ever
+  /// acknowledged.  A partial ack set otherwise counts as success: the
+  /// quorum's version guard converges stragglers on the next write, and
+  /// reads take the max version.  The replay loop is additionally bounded
+  /// by op_deadline, so a faulted network yields a classified TxAbort
+  /// instead of an open-ended stall.
+  static std::vector<std::exception_ptr> phase_two(
+      std::span<const HeldPart> parts);
+
+  /// Release every part's prepared-but-not-committed ticket in ONE round,
+  /// replaying to unacked members.
+  static void release(std::span<const HeldPart> parts);
+
+  // -- the one-group case ---------------------------------------------------
+  /// Stand-alone validation; throws TxAbort(kValidation) when any replica
+  /// refutes a check.
+  void validate(TxId tx, const std::vector<VersionCheck>& checks);
+
+  /// Phase one of one group.  `write_keys` must be sorted ascending;
   /// `read_versions` gives, per write key, the version the transaction read
   /// (0 for blind inserts).  Throws TxAbort on conflict.
   PrepareTicket prepare(TxId tx, const std::vector<VersionCheck>& read_checks,
                         const std::vector<ObjectKey>& write_keys,
                         const std::vector<Version>& read_versions,
-                        const PrepareExtras& extras = {}) {
-    return prepare(prepare_call(tx, read_checks, write_keys, read_versions,
-                                extras));
-  }
-  /// prepare() of a built call; `ran` as for validate().
-  PrepareTicket prepare(const PrepareCall& call,
-                        std::optional<RoundStatus> ran = std::nullopt);
+                        const PrepareExtras& extras = {});
 
-  /// Phase two: install values (aligned with ticket.keys).  Members whose
-  /// ack was lost are retried up to max_commit_replays rounds (servers
-  /// treat replays idempotently).  Throws TxAbort(kBusy) if any member
-  /// reports the prepare lease expired (presumed abort — the write did not
-  /// take effect there and must not be assumed durable), TxAbort(
-  /// kUnavailable) if not a single member ever acknowledged.  A partial ack
-  /// set otherwise counts as success: the quorum's version guard converges
-  /// stragglers on the next write, and reads take the max version.  The
-  /// replay loop is additionally bounded by op_deadline, so a faulted
-  /// network yields a classified TxAbort instead of an open-ended stall.
+  /// Phase two of one group: install values (aligned with ticket.keys);
+  /// throws what phase_two() reports.
   void commit(const PrepareTicket& ticket, const std::vector<Record>& values);
 
   /// Release a prepared-but-not-committed transaction.
   void abort(const PrepareTicket& ticket);
 
-  // -- rounds split into builders and judges (see the header comment) -----
+  /// The prepare a PreparePart carries: `write_keys` sorted, `read_versions`
+  /// as for prepare(), stamped with this stub's group.
   PrepareCall prepare_call(TxId tx,
                            const std::vector<VersionCheck>& read_checks,
                            const std::vector<ObjectKey>& write_keys,
                            const std::vector<Version>& read_versions,
                            const PrepareExtras& extras = {}) const;
-  static Request validate_request(TxId tx,
-                                  const std::vector<VersionCheck>& checks);
-  Request commit_request(const PrepareTicket& ticket,
-                         const std::vector<Record>& values) const;
-  static Request release_request(TxId tx, const std::vector<ObjectKey>& keys);
-
-  /// `call`'s round on `quorum`: granted when every member granted.
-  static PrepareVerdict judge_prepare(const PrepareCall& call,
-                                      const std::vector<net::NodeId>& quorum,
-                                      Replies replies);
-  static Verdict judge_validate(Replies replies);
-  /// Phase two from its first round's `replies` (to ticket.quorum): replays
-  /// `request` to the members whose ack was lost and throws what commit()
-  /// throws.
-  void settle_commit(const PrepareTicket& ticket, const Request& request,
-                     Replies replies);
-  /// A release from its first round's `replies` (to `members`): replays to
-  /// the members whose ack was lost.
-  void settle_release(const std::vector<net::NodeId>& members,
-                      const Request& request, Replies replies);
-
-  /// Every part in ONE multicall through this stub's transport as its
-  /// client node (a coordinator's per-group stubs share both), with the
-  /// codec check; returns each part's replies, aligned with its quorum.
-  /// Counts one operation of its request kind per part in the rpc.*
-  /// counters and traces the round as one span.
-  std::vector<std::vector<net::CallResult<Response>>> exchange(
-      std::span<const RoundPart> parts);
-
-  std::vector<net::NodeId> pick_read_quorum() { return quorums_.read_quorum(rng_); }
-  std::vector<net::NodeId> pick_write_quorum() { return quorums_.write_quorum(rng_); }
 
   /// Dynamic Module query: per-class contention levels (max over a write
   /// quorum — counters diverge across replicas because each sees only the
@@ -276,26 +257,45 @@ class QuorumStub {
   net::NodeId client_node() const noexcept { return client_node_; }
 
  private:
+  /// One group's share of a round: the quorum it targets and the request
+  /// every member of it gets (owned by the caller, alive through the round).
+  struct RoundPart {
+    std::vector<net::NodeId> quorum;
+    const Request* request = nullptr;
+  };
+  using Replies = std::span<const net::CallResult<Response>>;
+
   /// The retry ladder every quorum operation climbs: invokes `round` until
   /// it reports kDone, backing off on kBusy (up to retry.max_retries, then
   /// TxAbort{kBusy}) and re-selecting quorums on kUnreachable (up to
   /// max_quorum_retries, then TxAbort{kUnavailable}); either abort lists
-  /// `blame`.  Rounds throw TxAbort(kValidation)/ObjectMissing directly.
-  /// `ran` is the status of a first round run elsewhere.
+  /// `blame` as it stands then.  Rounds throw TxAbort(kValidation)/
+  /// ObjectMissing directly.
   void retry_ladder(const std::vector<ObjectKey>& blame,
-                    const std::function<RoundStatus()>& round,
-                    std::optional<RoundStatus> ran = std::nullopt);
+                    const std::function<RoundStatus()>& round);
 
   /// multicall + optional codec verification of request and responses.
   std::vector<net::CallResult<Response>> exchange(
       const std::vector<net::NodeId>& quorum, const Request& request);
+  /// Every part in ONE multicall through this stub's transport as its
+  /// client node, with the codec check; each part's replies, aligned with
+  /// its quorum.
+  std::vector<std::vector<net::CallResult<Response>>> exchange(
+      std::span<const RoundPart> parts);
   void verify_responses(
       const std::vector<net::CallResult<Response>>& results) const;
   void backoff(int attempt);
-  /// Release `keys` of `tx` on `members` (no round when empty), replaying
-  /// to unacked members.
-  void release(TxId tx, const std::vector<ObjectKey>& keys,
-               const std::vector<net::NodeId>& members);
+  /// Phase two from its first round's `replies`: replays `request` to the
+  /// members whose ack was lost and throws what commit() throws.
+  void settle_commit(const PrepareTicket& ticket, const Request& request,
+                     Replies replies);
+  /// A release from its first round's `replies` (to `members`): replays to
+  /// the members whose ack was lost.
+  void settle_release(const std::vector<net::NodeId>& members,
+                      const Request& request, Replies replies);
+
+  std::vector<net::NodeId> pick_read_quorum() { return quorums_.read_quorum(rng_); }
+  std::vector<net::NodeId> pick_write_quorum() { return quorums_.write_quorum(rng_); }
 
   DtmTransport* transport_;
   const quorum::QuorumSystem& quorums_;

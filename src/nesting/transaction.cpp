@@ -181,21 +181,22 @@ void Transaction::commit() {
 }
 
 void Transaction::prepare() {
-  if (frames_.size() != 1)
-    throw std::logic_error("Transaction::prepare with open sub-transaction");
-  if (frames_.front().writes.empty()) {
-    // Read-only: one final validation round suffices (no 2PC).
-    stub_.validate(id_, all_version_checks());
-    return;
-  }
-  ticket_ = stub_.prepare(prepare_call({}, -1));
+  const dtm::PreparePart part = prepare_part({}, -1);
+  ticket_ = std::move(dtm::QuorumStub::phase_one({&part, 1}).front());
 }
 
-dtm::PrepareCall Transaction::prepare_call(
+dtm::PreparePart Transaction::prepare_part(
     const std::vector<std::uint32_t>& participants, std::int64_t coordinator) {
   if (frames_.size() != 1)
     throw std::logic_error("Transaction::prepare with open sub-transaction");
   const Frame& frame = frames_.front();
+  dtm::PreparePart part{&stub_, id_, std::nullopt, {}};
+  for (const auto& [key, record] : frame.reads)
+    if (!frame.writes.contains(key))
+      part.unwritten.push_back({key, record.version});
+  // Read-only: the final validation round suffices (no 2PC).
+  if (frame.writes.empty()) return part;
+
   std::vector<ObjectKey> write_keys;
   write_keys.reserve(frame.writes.size());
   for (const auto& [key, value] : frame.writes) write_keys.push_back(key);
@@ -221,20 +222,14 @@ dtm::PrepareCall Transaction::prepare_call(
   // checked; written objects are protected during prepare, and their checks
   // ride along too (the server skips self-protected busy conflicts by
   // comparing versions only).
-  return stub_.prepare_call(id_, all_version_checks(), write_keys,
-                            read_versions, extras);
-}
-
-std::vector<dtm::VersionCheck> Transaction::unwritten_read_checks() const {
-  std::vector<dtm::VersionCheck> checks;
-  for (const auto& frame : frames_)
-    for (const auto& [key, record] : frame.reads)
-      if (!has_written(key)) checks.push_back({key, record.version});
-  return checks;
+  part.call = stub_.prepare_call(id_, all_version_checks(), write_keys,
+                                 read_versions, extras);
+  return part;
 }
 
 void Transaction::commit_prepared() {
-  const std::optional<dtm::PrepareTicket> ticket = take_ticket();
+  const std::optional<dtm::PrepareTicket> ticket =
+      std::exchange(ticket_, std::nullopt);
   if (ticket) stub_.commit(*ticket, values_);
   if (!history_) return;
   CommittedTxn entry;
@@ -248,7 +243,8 @@ void Transaction::commit_prepared() {
 }
 
 void Transaction::abort_prepared() {
-  if (const std::optional<dtm::PrepareTicket> ticket = take_ticket())
+  if (const std::optional<dtm::PrepareTicket> ticket =
+          std::exchange(ticket_, std::nullopt))
     stub_.abort(*ticket);
 }
 

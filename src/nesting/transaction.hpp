@@ -17,10 +17,11 @@
 // must restart.
 //
 // The final commit() runs two-phase commit over a write quorum with the
-// flattened read/write sets: prepare(), then commit_prepared().  A
-// cross-shard context (shard::ShardTx, one Transaction per quorum group)
-// takes the phases apart instead — prepare_call(), hold(), take_ticket() —
-// so that it can run several groups' rounds as one under its own decision.
+// flattened read/write sets: prepare(), then commit_prepared(), each the
+// one-group case of the stub's phases (dtm::QuorumStub::phase_one /
+// phase_two).  A cross-shard context (shard::ShardTx, one Transaction per
+// quorum group) hands every group's prepare_part() to one phase_one call
+// instead and hold()s the tickets it returns.
 // Only one level of nesting is supported, per the paper's system model
 // (Section IV).
 #pragma once
@@ -130,24 +131,19 @@ class Transaction final : public TxContext {
     return values_;
   }
 
-  // -- phase one and two split, for a caller that runs several groups'
-  //    rounds as one network round (shard::ShardTx) -----------------------
-  /// The write set's prepare as prepare() would send it (requires
-  /// depth() == 1 and a write set), with the values kept for phase two.
-  /// A non-empty `participants` (the write groups of a cross-shard
-  /// transaction) is stamped into it with `coordinator` and the redo
-  /// values.
-  dtm::PrepareCall prepare_call(const std::vector<std::uint32_t>& participants,
+  // -- for a caller that runs several groups' phases as one (shard::ShardTx)
+  /// This group's part of a commit's phase one, as prepare() sends it
+  /// (requires depth() == 1): the write set's prepare, when there is one,
+  /// with the values kept for phase two, and the checks of every key read
+  /// and not written.  A non-empty `participants` (the write groups of a
+  /// cross-shard transaction) is stamped into the prepare with
+  /// `coordinator` and the redo values.
+  dtm::PreparePart prepare_part(const std::vector<std::uint32_t>& participants,
                                 std::int64_t coordinator);
-  /// Hold a prepare the caller's round granted.
+  /// Hold a prepare the caller's phase one granted.
   void hold(dtm::PrepareTicket ticket) { ticket_ = std::move(ticket); }
-  /// Give up the held prepare (the caller commits or releases it).
-  std::optional<dtm::PrepareTicket> take_ticket() noexcept {
-    return std::exchange(ticket_, std::nullopt);
-  }
-  /// The checks of every key read and not written: what must still hold
-  /// once every group's prepare holds.
-  std::vector<dtm::VersionCheck> unwritten_read_checks() const;
+  /// Forget the held prepare once the caller committed or released it.
+  void drop_ticket() noexcept { ticket_.reset(); }
 
   /// Release whatever prepare() holds; commit() itself holds nothing once
   /// it returns or throws.

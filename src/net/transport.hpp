@@ -18,7 +18,7 @@
 //   * multicall sends a request per target, all in flight at once, and
 //     returns results aligned with `targets`; the caller waits once, for
 //     the slowest reply.  Several quorum groups' rounds share one multicall
-//     this way (shard::ShardTx's 2PC phases); the same-request form is a
+//     this way (dtm::QuorumStub's 2PC phases); the same-request form is a
 //     thin wrapper over it.
 //   * A handler registered through register_node must not issue nested
 //     calls through the transport (see the re-entrancy guard below — on

@@ -120,16 +120,19 @@ Observability::Observability(ObsConfig config)
 }
 
 ScopedLatency::ScopedLatency(MetricsRegistry::Histogram histogram)
-    : histogram_(histogram), start_ns_(now_ns()), armed_(true) {}
+    : histogram_(histogram), start_ns_(now_ns()), samples_(1) {}
 
-void ScopedLatency::arm(MetricsRegistry::Histogram histogram) {
+void ScopedLatency::arm(MetricsRegistry::Histogram histogram,
+                        std::size_t samples) {
   histogram_ = histogram;
   start_ns_ = now_ns();
-  armed_ = true;
+  samples_ = samples;
 }
 
 ScopedLatency::~ScopedLatency() {
-  if (armed_) histogram_.observe(now_ns() - start_ns_);
+  if (samples_ == 0) return;
+  const std::uint64_t elapsed = now_ns() - start_ns_;
+  for (std::size_t i = 0; i < samples_; ++i) histogram_.observe(elapsed);
 }
 
 }  // namespace acn::obs

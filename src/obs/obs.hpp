@@ -148,9 +148,9 @@ class Observability {
   MetricsRegistry::Gauge plan_blocks;
 };
 
-/// Observes elapsed wall time into a histogram when destroyed; a
-/// default-constructed instance is a no-op.  Used for RPC phase latencies
-/// where abort exits must still be measured.
+/// Observes elapsed wall time into a histogram when destroyed, once per
+/// sample armed; a default-constructed instance is a no-op.  Used for RPC
+/// phase latencies where abort exits must still be measured.
 class ScopedLatency {
  public:
   ScopedLatency() = default;
@@ -159,13 +159,14 @@ class ScopedLatency {
   ScopedLatency& operator=(const ScopedLatency&) = delete;
   ~ScopedLatency();
 
-  /// Start (or restart) timing into `histogram`.
-  void arm(MetricsRegistry::Histogram histogram);
+  /// Start (or restart) timing into `histogram`, observing the elapsed
+  /// time `samples` times (one per operation the span times).
+  void arm(MetricsRegistry::Histogram histogram, std::size_t samples = 1);
 
  private:
   MetricsRegistry::Histogram histogram_;
   std::uint64_t start_ns_ = 0;
-  bool armed_ = false;
+  std::size_t samples_ = 0;
 };
 
 }  // namespace acn::obs

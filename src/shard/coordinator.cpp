@@ -52,13 +52,6 @@ ShardTx CrossShardCoordinator::begin(const KeyFootprint& predicted,
   return ShardTx(this, tx, router_.plan(predicted), config);
 }
 
-std::vector<std::vector<net::CallResult<dtm::Response>>>
-CrossShardCoordinator::exchange(const std::vector<dtm::RoundPart>& parts) {
-  if (parts.empty()) return {};
-  // Every group's stub shares the client's transport and node id.
-  return stubs_.front().exchange(parts);
-}
-
 void CrossShardCoordinator::note_commit(const RoutePlan& predicted,
                                         const RoutePlan& committed) {
   (committed.single_shard() ? stats_.single_shard_commits
@@ -211,9 +204,11 @@ std::size_t ShardTx::prepare_all() {
   // Block or checkpoint that was rolled back holds nothing and stays out.
   plan_.groups.clear();
   cross_groups_.clear();
-  for (const auto& [group, txn] : groups_) {
+  std::vector<nesting::Transaction*> txns;  // the touched groups'
+  for (auto& [group, txn] : groups_) {
     if (!touched(txn)) continue;
     plan_.groups.push_back(group);
+    txns.push_back(&txn);
     // More than one write group makes this transaction subject to decision
     // records and in-doubt parking, and every prepare must carry the full
     // set so any single group can find its siblings.
@@ -221,152 +216,38 @@ std::size_t ShardTx::prepare_all() {
   }
   if (plan_.groups.empty()) plan_.groups.push_back(predicted_.home());
 
-  try {
-    prepare_writes();
-    // Lock, then validate (Silo's order): the reads a transaction did not
-    // write are checked once every group's prepare holds, so of two
-    // transactions that each read what the other writes, at least one
-    // finds the other's protection.  On one group the prepare validated
-    // them under its own protections already.
-    if (cross_groups_.empty() || plan_.groups.size() > 1) validate_reads();
-  } catch (...) {
-    // One group refused (conflict, busy, unreachable): release every
-    // ticket already acquired so the other groups go free immediately
-    // instead of waiting out their leases.
-    abort_prepared();
-    throw;
-  }
-  state_ = State::kPrepared;
-  return static_cast<std::size_t>(
-      std::count_if(groups_.begin(), groups_.end(), [](const auto& entry) {
-        return entry.second.ticket() != nullptr;
-      }));
-}
-
-void ShardTx::prepare_writes() {
-  const std::vector<std::uint32_t> no_participants;
+  // One phase one over the touched groups: the stub prepares every write
+  // group in one round and, across several groups (or when nothing is
+  // written), validates the reads not written once every prepare holds.
+  // It throws holding nothing.
+  const std::vector<std::uint32_t> none;
   const std::vector<std::uint32_t>& participants =
-      cross_groups_.size() > 1 ? cross_groups_ : no_participants;
-  struct Claim {
-    std::uint32_t group;
-    nesting::Transaction* txn;
-    dtm::PrepareCall call;
-  };
-  std::vector<Claim> claims;
-  for (auto& [group, txn] : groups_)
-    if (txn.write_set_size() > 0)
-      claims.push_back(
-          {group, &txn, txn.prepare_call(participants, owner_->client_node_)});
-  std::vector<dtm::RoundPart> parts;
-  for (const Claim& claim : claims)
-    parts.push_back(
-        {owner_->stub(claim.group).pick_write_quorum(), &claim.call.request});
-  const auto replies = owner_->exchange(parts);
-
-  std::vector<Release> loose;  // what refused prepares may still hold
-  std::optional<dtm::TxAbort> refusal;
-  std::size_t lowest = claims.size();  // lowest group that must retry
-  dtm::RoundStatus lowest_status = dtm::RoundStatus::kDone;
-  for (std::size_t i = 0; i < claims.size(); ++i) {
-    Claim& claim = claims[i];
-    dtm::PrepareVerdict verdict =
-        dtm::QuorumStub::judge_prepare(claim.call, parts[i].quorum, replies[i]);
-    if (verdict.granted()) {
-      claim.txn->hold(std::move(verdict.ticket));
-      continue;
+      cross_groups_.size() > 1 ? cross_groups_ : none;
+  std::vector<dtm::PreparePart> parts;
+  for (nesting::Transaction* txn : txns)
+    parts.push_back(txn->prepare_part(participants, owner_->client_node_));
+  std::vector<std::optional<dtm::PrepareTicket>> tickets =
+      dtm::QuorumStub::phase_one(parts);
+  std::size_t prepared = 0;
+  for (std::size_t i = 0; i < txns.size(); ++i)
+    if (tickets[i]) {
+      txns[i]->hold(std::move(*tickets[i]));
+      ++prepared;
     }
-    loose.push_back(
-        {claim.group,
-         std::get<dtm::PrepareRequest>(claim.call.request.payload).write_keys,
-         std::move(verdict.release)});
-    if (verdict.refusal) {
-      if (!refusal) refusal = std::move(verdict.refusal);
-    } else if (lowest == claims.size()) {
-      lowest = i;
-      lowest_status = verdict.status;
-    }
-  }
-  // A refusal is final: the grants go with what the refused prepares may
-  // hold, in one round.
-  if (refusal) {
-    unwind(std::move(loose));
-    throw std::move(*refusal);
-  }
-  if (lowest == claims.size()) return;
-
-  // Ordered claim: keep the grants below the lowest group that must retry,
-  // release those above it, and climb the rest in ascending group order on
-  // the stubs' ladders, so that a transaction never retries a group while
-  // it holds a higher one and two transactions cannot hold-and-wait on each
-  // other in reverse.  The lowest group's ladder continues from its round.
-  for (std::size_t i = lowest + 1; i < claims.size(); ++i)
-    if (std::optional<dtm::PrepareTicket> ticket = claims[i].txn->take_ticket())
-      loose.push_back({claims[i].group, std::move(ticket->keys),
-                       std::move(ticket->quorum)});
-  release(std::move(loose));
-  for (std::size_t i = lowest; i < claims.size(); ++i) {
-    std::optional<dtm::RoundStatus> ran;
-    if (i == lowest) ran = lowest_status;
-    claims[i].txn->hold(
-        owner_->stub(claims[i].group).prepare(claims[i].call, ran));
-  }
+  state_ = State::kPrepared;
+  return prepared;
 }
 
-void ShardTx::validate_reads() {
-  struct Check {
-    std::uint32_t group;
-    std::vector<dtm::VersionCheck> checks;
-    dtm::Request request;
-  };
-  std::vector<Check> checks;
-  for (const auto& [group, txn] : groups_) {
-    std::vector<dtm::VersionCheck> unwritten = txn.unwritten_read_checks();
-    if (unwritten.empty()) continue;
-    dtm::Request request = dtm::QuorumStub::validate_request(tx_, unwritten);
-    checks.push_back({group, std::move(unwritten), std::move(request)});
-  }
-  std::vector<dtm::RoundPart> parts;
-  for (const Check& check : checks)
-    parts.push_back(
-        {owner_->stub(check.group).pick_read_quorum(), &check.request});
-  const auto replies = owner_->exchange(parts);
-
-  std::vector<dtm::Verdict> verdicts;
-  for (const auto& group_replies : replies) {
-    verdicts.push_back(dtm::QuorumStub::judge_validate(group_replies));
-    if (verdicts.back().refusal) throw std::move(*verdicts.back().refusal);
-  }
-  // A key found protected (or a quorum not reached) goes on the group's
-  // ladder, every grant still held.
-  for (std::size_t i = 0; i < checks.size(); ++i)
-    if (verdicts[i].status != dtm::RoundStatus::kDone)
-      owner_->stub(checks[i].group)
-          .validate(tx_, checks[i].checks, verdicts[i].status);
+std::vector<dtm::HeldPart> ShardTx::held() const {
+  std::vector<dtm::HeldPart> parts;
+  for (const auto& [group, txn] : groups_)
+    if (const dtm::PrepareTicket* ticket = txn.ticket())
+      parts.push_back({&owner_->stub(group), ticket, &txn.prepared_values()});
+  return parts;
 }
 
-std::vector<ShardTx::Release> ShardTx::take_held() {
-  std::vector<Release> held;
-  for (auto& [group, txn] : groups_)
-    if (std::optional<dtm::PrepareTicket> ticket = txn.take_ticket())
-      held.push_back(
-          {group, std::move(ticket->keys), std::move(ticket->quorum)});
-  return held;
-}
-
-void ShardTx::release(std::vector<Release> releases) {
-  std::erase_if(releases,
-                [](const Release& r) { return r.members.empty(); });
-  std::vector<dtm::Request> requests;
-  requests.reserve(releases.size());
-  std::vector<dtm::RoundPart> parts;
-  for (const Release& r : releases) {
-    requests.push_back(dtm::QuorumStub::release_request(tx_, r.keys));
-    parts.push_back({r.members, &requests.back()});
-  }
-  const auto replies = owner_->exchange(parts);
-  for (std::size_t i = 0; i < releases.size(); ++i)
-    owner_->stub(releases[i].group)
-        .settle_release(releases[i].members, requests[i], replies[i]);
+void ShardTx::drop_tickets() {
+  for (auto& [group, txn] : groups_) txn.drop_ticket();
 }
 
 std::vector<std::pair<store::ObjectKey, store::Version>>
@@ -406,7 +287,7 @@ void ShardTx::commit_prepared() {
       // aborts instead: release whatever the servers still hold.
       std::vector<store::ObjectKey> keys;
       for (const auto& [key, version] : installs) keys.push_back(key);
-      release(take_held());
+      abort_prepared();
       fail_commit();
       throw dtm::TxAbort(dtm::AbortKind::kBusy, std::move(keys),
                          dtm::AbortDetail::kLeaseExpired);
@@ -419,56 +300,38 @@ void ShardTx::commit_prepared() {
 
   // Phase two: one round to every prepared group; each group's stub then
   // replays to its unacked members.
-  struct Push {
-    std::uint32_t group;
-    dtm::PrepareTicket ticket;
-    dtm::Request request;
-  };
-  std::vector<Push> pushes;
-  for (auto& [group, txn] : groups_)
-    if (std::optional<dtm::PrepareTicket> ticket = txn.take_ticket()) {
-      dtm::Request request =
-          owner_->stub(group).commit_request(*ticket, txn.prepared_values());
-      pushes.push_back({group, std::move(*ticket), std::move(request)});
-    }
-  std::vector<dtm::RoundPart> parts;
-  for (const Push& push : pushes)
-    parts.push_back({push.ticket.quorum, &push.request});
-  const auto replies = owner_->exchange(parts);
-
+  const std::vector<std::exception_ptr> outcomes =
+      dtm::QuorumStub::phase_two(held());
+  drop_tickets();
   std::exception_ptr failure;
-  for (std::size_t i = 0; i < pushes.size(); ++i) {
-    try {
-      owner_->stub(pushes[i].group)
-          .settle_commit(pushes[i].ticket, pushes[i].request, replies[i]);
-    } catch (const dtm::TxAbort& abort) {
-      if (multi_group && abort.detail() != dtm::AbortDetail::kLeaseExpired) {
-        // Unreachable after bounded retries, with the commit decision
-        // already recorded: hand the push to cooperative termination.  The
-        // group's prepare parks in-doubt when its lease runs out and the
-        // resolver installs from the decision record (or a sibling's
-        // verdict), so the transaction still counts as committed.
-        owner_->stats_.indoubt_handoffs.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        continue;
-      }
-      failure = std::current_exception();
-      if (multi_group) {
+  for (const std::exception_ptr& outcome : outcomes) {
+    if (!outcome) continue;
+    if (multi_group) {
+      try {
+        std::rethrow_exception(outcome);
+      } catch (const dtm::TxAbort& abort) {
+        if (abort.detail() != dtm::AbortDetail::kLeaseExpired) {
+          // Unreachable after bounded retries, with the commit decision
+          // already recorded: hand the push to cooperative termination.
+          // The group's prepare parks in-doubt when its lease runs out and
+          // the resolver installs from the decision record (or a sibling's
+          // verdict), so the transaction still counts as committed.
+          owner_->stats_.indoubt_handoffs.fetch_add(
+              1, std::memory_order_relaxed);
+          continue;
+        }
         // kExpired refusal after the decision was recorded: the group was
         // explicitly aborted out from under a committed transaction.  The
         // decision stands for the other groups; count the breach — the
         // gates assert this never happens.
-        owner_->stats_.atomicity_breaches.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        continue;
+        owner_->stats_.atomicity_breaches.fetch_add(
+            1, std::memory_order_relaxed);
+      } catch (...) {
       }
-      // Single prepared group: nothing installed anywhere else, so the
-      // abort is still atomic — surface it.
-      break;
-    } catch (...) {
-      failure = std::current_exception();
-      if (!multi_group) break;
     }
+    // Surface the failure: a breach, once counted, or the abort of a lone
+    // prepared group, which installed nothing anywhere else.
+    failure = outcome;
   }
   if (failure) {
     fail_commit();
@@ -488,9 +351,7 @@ void ShardTx::commit_prepared() {
   owner_->note_commit(predicted_, plan_);
 }
 
-void ShardTx::abort_prepared() { unwind({}); }
-
-void ShardTx::unwind(std::vector<Release> loose) {
+void ShardTx::abort_prepared() {
   // A cross-shard abort is recorded too: an in-doubt participant that asks
   // the (live) coordinator gets an authoritative kAborted instead of
   // waiting out the kUnknown-presumed-abort inference.  The cross-shard
@@ -500,12 +361,11 @@ void ShardTx::unwind(std::vector<Release> loose) {
   // checker could not tell a leaked install from an honest rival.  Commit
   // entries have no such ambiguity — their versions are installed or held
   // under protection until termination installs them.
-  std::vector<Release> held = take_held();
-  if (cross_groups_.size() > 1 && !held.empty())
+  const std::vector<dtm::HeldPart> parts = held();
+  if (cross_groups_.size() > 1 && !parts.empty())
     owner_->decisions_->record_abort(tx_);
-  held.insert(held.end(), std::make_move_iterator(loose.begin()),
-              std::make_move_iterator(loose.end()));
-  release(std::move(held));
+  dtm::QuorumStub::release(parts);
+  drop_tickets();
 }
 
 void ShardTx::commit() {

@@ -18,18 +18,21 @@
 //     validation round if read-only).  No other group hears about it.
 //   * several groups — 2PC with the coordinator as the (unreplicated)
 //     transaction manager, each phase ONE network round over all its
-//     groups (a per-target multicall; each group's stub judges its own
-//     replies): a prepare round over every write group (a transaction
-//     that writes nothing validates every group instead); when it read a
-//     key it does not write, a validation round over all such reads while
-//     every grant is held (Silo's lock-then-validate order: of two
-//     transactions that each read what the other writes, one finds the
-//     other's protection); then phase two to every prepared group.  A
-//     group found busy or unreachable in the prepare round is claimed in
-//     order: the grants below it are kept, those above it released, and
-//     the rest climbed in ascending group order, so a transaction never
-//     retries a group while it holds a higher one.  Any other failure
-//     releases every grant in one round.
+//     groups, run by dtm::QuorumStub::phase_one / phase_two / release over
+//     one part per group: a prepare round over every write group (a
+//     transaction that writes nothing validates every group instead);
+//     when it read a key it does not write, a validation round over all
+//     such reads while every grant is held (Silo's lock-then-validate
+//     order: of two transactions that each read what the other writes,
+//     one finds the other's protection); then phase two to every prepared
+//     group.  Phase one never backs off holding a grant: a group found
+//     busy or unreachable in either round releases every grant in one
+//     round before the ladder retries, and a refusal releases them and
+//     aborts.
+//
+// The ShardTx picks no quorum, builds no request and judges no reply; it
+// keeps the reclassification by touched groups, the participant stamp,
+// the decision record, the in-doubt handoff and the breach accounting.
 //
 // Coordinator crash tolerance is layered:
 //   * between prepares, presumed abort still rules — a single-write-group
@@ -144,12 +147,13 @@ class ShardTx final : public nesting::TxContext {
 
   // -- 2PC phase by phase (commit() composes them; coordinator-crash tests
   //    drive them one at a time) ------------------------------------------
-  /// Phase 1 only: classify, prepare every write group in one round, then
-  /// validate the unwritten reads in one more (several groups, or nothing
-  /// written).  Returns the number of groups holding a prepare ticket.
-  /// Abandoning the handle after this call models a coordinator crash
-  /// between prepares: the groups' leases expire and presumed abort
-  /// releases them.
+  /// Phase 1 only: classify, then one QuorumStub::phase_one over the
+  /// touched groups — every write group prepared in one round, the
+  /// unwritten reads validated in one more (several groups, or nothing
+  /// written).  Throws TxAbort holding nothing.  Returns the number of
+  /// groups holding a prepare ticket.  Abandoning the handle after this
+  /// call models a coordinator crash between prepares: the groups' leases
+  /// expire and presumed abort releases them.
   std::size_t prepare_all();
   /// Phase 2 over the tickets prepare_all() acquired: the decision record
   /// (several write groups), then one round to every prepared group.
@@ -189,28 +193,10 @@ class ShardTx final : public nesting::TxContext {
   nesting::Transaction& write_tx(const store::ObjectKey& key);
   /// State after a failed commit (see commit()).
   void fail_commit();
-
-  /// The members of one group a release must reach, and its keys.
-  struct Release {
-    std::uint32_t group;
-    std::vector<store::ObjectKey> keys;
-    std::vector<net::NodeId> members;
-  };
-  /// Round one: prepare every write group in one round, then the ordered
-  /// claim when a group was busy or unreachable.  Throws holding what it
-  /// acquired; a refusal first releases everything.
-  void prepare_writes();
-  /// One round validating, in every group, the reads not written; a busy
-  /// or unreached group climbs its stub's ladder.
-  void validate_reads();
-  /// Every held ticket, taken from its group.
-  std::vector<Release> take_held();
-  /// One release round over the members named (none when no member
-  /// qualifies); each group's stub replays to its unacked members.
-  void release(std::vector<Release> releases);
-  /// Record the abort of a cross-shard transaction that holds tickets, and
-  /// release them together with `loose` in one round.
-  void unwind(std::vector<Release> loose);
+  /// Every held ticket as a phase-two or release part.
+  std::vector<dtm::HeldPart> held() const;
+  /// Forget every held ticket once phase two or a release sent it.
+  void drop_tickets();
 
   CrossShardCoordinator* owner_ = nullptr;
   /// The run's config the group Transactions are armed with (null: none).
@@ -287,10 +273,6 @@ class CrossShardCoordinator final : public acn::ContextSource {
   friend class ShardTx;
 
   dtm::QuorumStub& stub(std::uint32_t group) { return stubs_.at(group); }
-  /// One network round carrying every part (each group's stub shares the
-  /// client's transport and node id); replies per part.
-  std::vector<std::vector<net::CallResult<dtm::Response>>> exchange(
-      const std::vector<dtm::RoundPart>& parts);
   /// Commit-side accounting, once per committed ShardTx.
   void note_commit(const RoutePlan& predicted, const RoutePlan& committed);
 

@@ -594,6 +594,16 @@ TEST(ObsIntegration, ShardedRunCountersMatchExecStats) {
   EXPECT_EQ(result.metrics.counter("tx.abort.full"), result.stats.full_aborts);
   EXPECT_EQ(result.metrics.counter("tx.abort.partial"),
             result.stats.partial_aborts);
+
+  // Both 2PC phases are counted and timed once per group, whether a group
+  // commits alone or in a round shared with others.
+  EXPECT_GT(result.metrics.counter("rpc.commit"), 0u);
+  const HistogramData* prepare_ns = result.metrics.histogram("rpc.prepare_ns");
+  ASSERT_NE(prepare_ns, nullptr);
+  EXPECT_EQ(prepare_ns->count(), result.metrics.counter("rpc.prepare"));
+  const HistogramData* commit_ns = result.metrics.histogram("rpc.commit_ns");
+  ASSERT_NE(commit_ns, nullptr);
+  EXPECT_EQ(commit_ns->count(), result.metrics.counter("rpc.commit"));
 }
 
 }  // namespace

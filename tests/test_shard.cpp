@@ -779,7 +779,11 @@ TEST(Coordinator, CrossShardPhasesTakeOneRoundEach) {
   EXPECT_EQ(total_open_leases(cluster), 0u);
 }
 
-TEST(Coordinator, BusyLowerGroupIsRetriedWithoutHoldingAHigherOne) {
+/// A transfer across groups 0 and 1 while a rival's prepare holds the key
+/// of one of them, the parameter.
+class BusyGroupCommit : public testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(BusyGroupCommit, ReleasesTheOtherGroupBeforeEveryBackOff) {
   auto config = fast_cluster(2);
   config.stub.retry.max_retries = 40;  // outlasts the rival's hold
   harness::Cluster cluster(config);
@@ -789,6 +793,14 @@ TEST(Coordinator, BusyLowerGroupIsRetriedWithoutHoldingAHigherOne) {
   seed_sharded(cluster, map, low, Record{10});
   seed_sharded(cluster, map, high, Record{10});
   cluster.flush_seeds();
+  const std::uint32_t busy = GetParam();
+  const std::uint32_t other = 1 - busy;
+  // Every write quorum contains its group's root, so the roots see every
+  // prepare and every release of their group.
+  const auto root = [&](std::uint32_t group) -> dtm::Server& {
+    return cluster.server(
+        static_cast<std::size_t>(cluster.group_members(group).front()));
+  };
 
   CrossShardCoordinator coordinator(cluster, router, 0);
   ShardTx tx = coordinator.begin(write_footprint({low, high}));
@@ -796,41 +808,89 @@ TEST(Coordinator, BusyLowerGroupIsRetriedWithoutHoldingAHigherOne) {
   tx.write(low, Record{a.fields[0] + 1});
   tx.write(high, Record{b.fields[0] + 1});
 
-  // A rival's prepare holds `low` on a group-0 write quorum.
-  dtm::QuorumStub rival = cluster.make_group_stub(0, /*client_ordinal=*/9);
-  const dtm::PrepareTicket held = rival.prepare(0x77, {}, {low}, {1});
+  // A rival's prepare holds the busy group's key at that group's root (one
+  // replica, so its release leaves no member still protected).
+  const ObjectKey& key = busy == 0 ? low : high;
+  dtm::PrepareRequest hold;
+  hold.tx = 0x77;
+  hold.write_keys = {key};
+  hold.group = busy;
+  dtm::Request rival;
+  rival.payload = hold;
+  ASSERT_EQ(std::get<dtm::PrepareResponse>(root(busy).handle(99, rival).payload)
+                .code,
+            dtm::PrepareCode::kOk);
   std::atomic<bool> committed{false};
   std::thread commit([&] {
     tx.commit();
     committed = true;
   });
 
-  // Wait until the commit has gone back to group 0 at least once after its
-  // first round (group 0's root sits in every write quorum and refuses each
-  // attempt once): by then group 1's grant must be gone.
-  dtm::Server& low_root =
-      cluster.server(static_cast<std::size_t>(cluster.group_members(0).front()));
-  const auto busy_on_low = [&] {
-    return low_root.stats().prepare_busy.load();
-  };
+  // Let the busy group's root refuse the commit twice before the rival
+  // lets go.
+  const auto& busy_stats = root(busy).stats();
   const auto start = std::chrono::steady_clock::now();
-  while (busy_on_low() < 2 &&
+  while (busy_stats.prepare_busy.load() < 2 &&
          std::chrono::steady_clock::now() - start < std::chrono::seconds{5})
     std::this_thread::yield();
-  EXPECT_GE(busy_on_low(), 2u);
-  std::size_t high_protected = 0;
-  for (dtm::Server* server : cluster.group_servers(1))
-    high_protected += server->store().protected_count();
-  EXPECT_EQ(high_protected, 0u)
-      << "the commit retries group 0 while holding group 1";
+  EXPECT_GE(busy_stats.prepare_busy.load(), 2u);
   EXPECT_FALSE(committed.load());
 
-  rival.abort(held);
+  rival.payload = dtm::AbortRequest{0x77, {key}};
+  root(busy).handle(99, rival);
   commit.join();
   EXPECT_TRUE(committed.load());
+  // Each refused rung released the other group's grant before it backed
+  // off, whichever group was busy.
+  EXPECT_EQ(root(other).stats().aborts.load(), busy_stats.prepare_busy.load())
+      << "the commit backed off holding group " << other;
   EXPECT_EQ(latest_sharded(cluster, map, low).value.fields[0], 11);
   EXPECT_EQ(latest_sharded(cluster, map, high).value.fields[0], 11);
   EXPECT_EQ(total_protected(cluster), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Coordinator, BusyGroupCommit, testing::Values(0u, 1u),
+                         [](const testing::TestParamInfo<std::uint32_t>& info) {
+                           return info.param == 0 ? "LowerBusy" : "HigherBusy";
+                         });
+
+TEST(Coordinator, BusyValidationHoldsNoGrantWhileItBacksOff) {
+  auto config = fast_cluster(2);
+  config.stub.retry.max_retries = 3;
+  harness::Cluster cluster(config);
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  const ObjectKey k{1, 5}, x{1, 105};  // groups 0 and 1
+  seed_sharded(cluster, map, k, Record{10});
+  seed_sharded(cluster, map, x, Record{10});
+  cluster.flush_seeds();
+
+  CrossShardCoordinator coordinator(cluster, router, 0);
+  ShardTx tx = coordinator.begin();
+  tx.read(k);
+  tx.write(x, Record{tx.read(x).fields[0] + 1});
+
+  // A rival's prepare holds k, the key the transaction read and did not
+  // write, and never lets go.
+  dtm::QuorumStub rival = cluster.make_group_stub(0, /*client_ordinal=*/9);
+  rival.prepare(0x77, {}, {k}, {1});
+  try {
+    tx.commit();
+    ADD_FAILURE() << "committed past a protected read";
+  } catch (const dtm::TxAbort& abort) {
+    EXPECT_EQ(abort.kind(), dtm::AbortKind::kBusy);
+  }
+
+  // Each of the 1 + max_retries rungs prepared group 1, found k protected
+  // in its validation round and released group 1 before backing off.
+  const dtm::ServerStats& root =
+      cluster.server(static_cast<std::size_t>(cluster.group_members(1).front()))
+          .stats();
+  EXPECT_EQ(root.prepares.load(), 4u);
+  EXPECT_EQ(root.aborts.load(), 4u);
+  for (dtm::Server* server : cluster.group_servers(1))
+    EXPECT_EQ(server->store().protected_count(), 0u);
+  EXPECT_EQ(latest_sharded(cluster, map, x).value.fields[0], 10);
 }
 
 /// Runs `first` and `second` released together on two threads, each in a
@@ -866,14 +926,8 @@ bool cycle_of_pair(CrossShardCoordinator& one, CrossShardCoordinator& two,
 TEST(Coordinator, CrossGroupWriteSkewNeverCommitsBoth) {
   // Each transaction reads a key the other writes, on different groups.
   // If both commit having read the other's key unwritten, each read a
-  // version the other overwrote: a cycle no serial order explains.  When
-  // both find the other's protection in their validation round, each
-  // waits on its busy ladder until one gives up; a short ladder keeps
-  // those pairs quick and cannot let both commit.
-  auto config = timed_cluster(2);
-  config.stub.retry.max_retries = 3;
-  config.stub.retry.base = std::chrono::microseconds{10};
-  harness::Cluster cluster(config);
+  // version the other overwrote: a cycle no serial order explains.
+  harness::Cluster cluster(timed_cluster(2));
   const ShardMap map = range_map(2);
   ShardRouter router(map);
   constexpr int kIterations = 200;
